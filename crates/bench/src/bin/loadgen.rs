@@ -24,17 +24,14 @@
 //! # against a running daemon, 256 keep-alive connections
 //! cargo run -p fair-submod-bench --release --bin loadgen -- \
 //!     --addr 127.0.0.1:7878 --connections 256
-//! # CI: spawn both servers, sweep 16/256/1024 connections, gate
+//! # CI: spawn a daemon, sweep 16/256/1024 connections, gate
 //! cargo run -p fair-submod-bench --release --bin loadgen -- \
-//!     --quick --spawn --compare --min-rps 200 --max-p99-ms 2000
+//!     --quick --spawn --sweep --min-rps 700 --max-p99-ms 2000
 //! ```
 //!
 //! Flags:
 //!
 //! - `--addr HOST:PORT` target a running daemon / `--spawn` start one
-//! - `--blocking` spawn (or label) the thread-per-connection server
-//! - `--compare` spawn event-driven AND blocking daemons, sweep both,
-//!   and record the throughput ratio at the largest connection count
 //! - `--connections N` concurrent connections (default 16)
 //! - `--sweep` run at 16, 256, and 1024 connections instead of one N
 //! - `--keepalive` / `--no-keepalive` reuse connections (default on)
@@ -44,7 +41,7 @@
 //!   from the scheduled instant, so there is no coordinated omission)
 //! - `--rate R` open-loop arrival rate in requests/second
 //! - `--requests N` requests per run, `--quick`, `--out PATH`
-//! - `--min-rps F` / `--max-p99-ms F` CI gates on the event server's
+//! - `--min-rps F` / `--max-p99-ms F` CI gates on the
 //!   largest-connection-count run (non-zero exit when violated)
 
 use std::collections::VecDeque;
@@ -567,7 +564,7 @@ impl Drop for DaemonGuard {
 /// address off its stdout handshake line. The admission queue is sized
 /// above the largest sweep so a healthy run sees zero shed; shedding
 /// behavior itself is covered by the service integration tests.
-fn spawn_daemon(quick: bool, blocking: bool) -> (DaemonGuard, String) {
+fn spawn_daemon(quick: bool) -> (DaemonGuard, String) {
     let mut cmd = std::process::Command::new(env!("CARGO"));
     cmd.args([
         "run",
@@ -584,9 +581,6 @@ fn spawn_daemon(quick: bool, blocking: bool) -> (DaemonGuard, String) {
     ]);
     if quick {
         cmd.arg("--quick");
-    }
-    if blocking {
-        cmd.arg("--blocking");
     }
     // Guard the child before the fallible handshake below, so even a
     // panic while waiting for it reaps the process.
@@ -703,23 +697,22 @@ fn run_to_json(connections: usize, opts: &LoadOpts, result: &RunResult) -> (f64,
     (throughput, p99_ms, json)
 }
 
-struct ServerOutcome {
-    label: &'static str,
-    json: Value,
+/// What a sweep of one daemon produced.
+struct Outcome {
+    /// The report's `runs` and daemon-counter fields.
+    fields: Vec<(&'static str, Value)>,
     /// (throughput_rps, p99_ms) of the largest-connection run.
     at_max: (f64, f64),
     errors: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn sweep_server(
-    label: &'static str,
+fn sweep_daemon(
     addr: &str,
     bodies: &[String],
     points: &[usize],
     opts: &LoadOpts,
     spawned: bool,
-) -> ServerOutcome {
+) -> Outcome {
     warm(addr, bodies);
     let mut runs = Vec::new();
     let mut at_max = (0.0, 0.0);
@@ -731,13 +724,13 @@ fn sweep_server(
             ..opts.clone()
         };
         eprintln!(
-            "[loadgen] {label}: {connections} connections, {} requests, {:?} loop ...",
+            "[loadgen] {connections} connections, {} requests, {:?} loop ...",
             opts.total, opts.mode
         );
         let result = run_load(addr, bodies, &opts);
         let (rps, p99, json) = run_to_json(connections, &opts, &result);
         eprintln!(
-            "[loadgen] {label}: {} ok / {} errors / {} shed in {:.2}s ({rps:.0} req/s, p99 {p99:.1}ms)",
+            "[loadgen] {} ok / {} errors / {} shed in {:.2}s ({rps:.0} req/s, p99 {p99:.1}ms)",
             result.samples.len(),
             result.errors,
             result.shed,
@@ -754,10 +747,8 @@ fn sweep_server(
         "repeated recipes never hit the instance cache"
     );
     let rss = daemon_peak_rss_mib(addr);
-    ServerOutcome {
-        label,
-        json: obj([
-            ("server", Value::Str(label.into())),
+    Outcome {
+        fields: vec![
             ("runs", Value::Arr(runs)),
             ("cache_hits", Value::Num(hits as f64)),
             ("cache_misses", Value::Num(misses as f64)),
@@ -765,7 +756,7 @@ fn sweep_server(
             ("daemon_peak_rss_mib", rss.map_or(Value::Null, Value::Num)),
             ("total_errors", Value::Num(errors as f64)),
             ("total_shed", Value::Num(shed as f64)),
-        ]),
+        ],
         at_max,
         errors,
     }
@@ -775,8 +766,6 @@ fn main() {
     let mut addr: Option<String> = None;
     let mut spawn = false;
     let mut quick = false;
-    let mut blocking = false;
-    let mut compare = false;
     let mut sweep = false;
     let mut connections = 16usize;
     let mut pipeline = 1usize;
@@ -805,8 +794,6 @@ fn main() {
             "--addr" => addr = Some(value("--addr")),
             "--spawn" => spawn = true,
             "--quick" => quick = true,
-            "--blocking" => blocking = true,
-            "--compare" => compare = true,
             "--sweep" => sweep = true,
             "--connections" => connections = int("--connections", value("--connections")).max(1),
             "--pipeline" => pipeline = int("--pipeline", value("--pipeline")).max(1),
@@ -836,55 +823,25 @@ fn main() {
         rate: rate.unwrap_or(if quick { 500.0 } else { 2_000.0 }),
         total,
     };
-    let points: Vec<usize> = if sweep || compare {
+    let points: Vec<usize> = if sweep {
         vec![16, 256, 1024]
     } else {
         vec![connections]
     };
 
     let bodies = solve_bodies(quick);
-    let mut outcomes: Vec<ServerOutcome> = Vec::new();
-    let mut guards = Vec::new();
-    if compare {
-        assert!(
-            spawn && addr.is_none(),
-            "--compare spawns both servers; drop --addr"
-        );
-        for (label, is_blocking) in [("event", false), ("blocking", true)] {
-            let (child, daemon_addr) = spawn_daemon(quick, is_blocking);
-            eprintln!("[loadgen] spawned {label} daemon at {daemon_addr}");
-            wait_ready(&daemon_addr);
-            outcomes.push(sweep_server(
-                label,
-                &daemon_addr,
-                &bodies,
-                &points,
-                &opts,
-                true,
-            ));
-            drop(child); // reap before spawning the twin
+    let (_daemon, target) = match addr {
+        Some(addr) => (None, addr),
+        None => {
+            assert!(spawn, "need --addr HOST:PORT or --spawn");
+            let (child, addr) = spawn_daemon(quick);
+            (Some(child), addr)
         }
-    } else {
-        let (child, target) = match addr {
-            Some(addr) => (None, addr),
-            None => {
-                assert!(spawn, "need --addr HOST:PORT or --spawn");
-                let (child, addr) = spawn_daemon(quick, blocking);
-                (Some(child), addr)
-            }
-        };
-        eprintln!("[loadgen] target daemon at {target}");
-        wait_ready(&target);
-        let label = if blocking { "blocking" } else { "event" };
-        outcomes.push(sweep_server(label, &target, &bodies, &points, &opts, spawn));
-        guards.push(child);
-    }
-
-    // The gated subject is the event server's largest-connection run
-    // (the first outcome in every invocation shape).
-    let subject = &outcomes[0];
-    let (subject_rps, subject_p99) = subject.at_max;
-    let speedup = (outcomes.len() == 2).then(|| outcomes[0].at_max.0 / outcomes[1].at_max.0);
+    };
+    eprintln!("[loadgen] target daemon at {target}");
+    wait_ready(&target);
+    let outcome = sweep_daemon(&target, &bodies, &points, &opts, spawn);
+    let (max_rps, max_p99) = outcome.at_max;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut top = vec![
@@ -911,57 +868,32 @@ fn main() {
             "connection_sweep",
             Value::Arr(points.iter().map(|&p| Value::Num(p as f64)).collect()),
         ),
-        (
-            "servers",
-            Value::Arr(outcomes.iter().map(|o| o.json.clone()).collect()),
-        ),
-        (
-            // The gated (event) daemon's own high-water mark, repeated
-            // at the top level so dashboards need not dig into servers.
-            "daemon_peak_rss_mib",
-            subject
-                .json
-                .get("daemon_peak_rss_mib")
-                .cloned()
-                .unwrap_or(Value::Null),
-        ),
     ];
-    if let Some(speedup) = speedup {
-        top.push(("event_vs_blocking_speedup", Value::Num(speedup)));
-    }
+    top.extend(outcome.fields);
     let report = obj(top);
     std::fs::write(&out_path, report.to_pretty_string()).expect("write BENCH_service.json");
-    for outcome in &outcomes {
-        eprintln!(
-            "[loadgen] {}: at {} connections {:.0} req/s, p99 {:.1}ms",
-            outcome.label,
-            points.last().unwrap(),
-            outcome.at_max.0,
-            outcome.at_max.1
-        );
-    }
-    if let Some(speedup) = speedup {
-        eprintln!("[loadgen] event vs blocking throughput at max connections: {speedup:.2}x");
-    }
+    eprintln!(
+        "[loadgen] at {} connections {max_rps:.0} req/s, p99 {max_p99:.1}ms",
+        points.last().unwrap(),
+    );
     eprintln!("[loadgen] wrote {out_path}");
 
     // Gates: a healthy daemon sized above the sweep must never error
     // or shed; the floors/ceilings catch regressions in CI.
     assert_eq!(
-        subject.errors, 0,
-        "{} server saw transport errors or non-200/429/503 statuses",
-        subject.label
+        outcome.errors, 0,
+        "daemon saw transport errors or non-200/429/503 statuses"
     );
     if let Some(floor) = min_rps {
         assert!(
-            subject_rps >= floor,
-            "throughput gate: {subject_rps:.0} req/s < floor {floor:.0}"
+            max_rps >= floor,
+            "throughput gate: {max_rps:.0} req/s < floor {floor:.0}"
         );
     }
     if let Some(ceiling) = max_p99_ms {
         assert!(
-            subject_p99 <= ceiling,
-            "p99 gate: {subject_p99:.1}ms > ceiling {ceiling:.1}ms"
+            max_p99 <= ceiling,
+            "p99 gate: {max_p99:.1}ms > ceiling {ceiling:.1}ms"
         );
     }
 }

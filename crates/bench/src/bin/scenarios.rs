@@ -1,6 +1,7 @@
-//! The shared scenario runner: executes any built-in or on-disk
+//! The scenario runner: executes any built-in or on-disk
 //! [`ScenarioSpec`](fair_submod_bench::scenario::ScenarioSpec) through
-//! the solver registry.
+//! the solver registry, and exits non-zero on failure (or on
+//! `--strict` violations).
 //!
 //! ```text
 //! scenarios --list                       # show the built-in specs
@@ -12,7 +13,7 @@
 //! ```
 
 use fair_submod_bench::args::ExpArgs;
-use fair_submod_bench::scenario::{alias_main, builtin_specs, load_spec};
+use fair_submod_bench::scenario::{builtin_specs, load_spec, run_spec};
 
 fn main() {
     let args = ExpArgs::parse();
@@ -24,14 +25,29 @@ fn main() {
         }
         return;
     }
-    match args.spec.as_deref() {
-        Some(spec) => alias_main(spec),
-        None => {
+    let Some(name) = args.spec.as_deref() else {
+        eprintln!(
+            "usage: scenarios --spec <name-or-path> [--quick] [--strict] \
+             [--solvers a,b] [--cold]"
+        );
+        eprintln!("       scenarios --list");
+        std::process::exit(2);
+    };
+    let spec = load_spec(name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
+    match run_spec(&spec, &args) {
+        Ok(summary) if args.strict && summary.strict_failure() => {
             eprintln!(
-                "usage: scenarios --spec <name-or-path> [--quick] [--strict] \
-                 [--solvers a,b] [--cold]"
+                "strict failure: {} ok cells, {} errors, {} empty solutions",
+                summary.ok_cells, summary.error_cells, summary.empty_solutions
             );
-            eprintln!("       scenarios --list");
+            std::process::exit(1);
+        }
+        Ok(_) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
             std::process::exit(2);
         }
     }

@@ -15,10 +15,9 @@
 //! * [`args`] — the shared `--quick`/`--out`/… CLI flags.
 //!
 //! Each paper artifact is a built-in spec (see
-//! [`scenario::builtin_specs`]); the historical binary names are thin
-//! aliases over the shared `scenarios` runner:
+//! [`scenario::builtin_specs`]) run by the one `scenarios` binary:
 //!
-//! | Spec / binary | Paper artifact |
+//! | Spec | Paper artifact |
 //! |---|---|
 //! | `table1`, `table2` | dataset statistics |
 //! | `fig3` | MC, vary τ (RAND c=2/c=4, DBLP) incl. `BSM-Optimal` |
@@ -33,9 +32,8 @@
 //! | `smoke` | CI: every registered solver on tiny instances |
 //!
 //! Run any spec with `cargo run -p fair-submod-bench --release --bin
-//! scenarios -- --spec fig3` (or via its alias binary, e.g. `--bin
-//! fig3`), and custom experiments with `--spec path/to/spec.json`
-//! (schema: `crates/bench/specs/README.md`).
+//! scenarios -- --spec fig3`, and custom experiments with `--spec
+//! path/to/spec.json` (schema: `crates/bench/specs/README.md`).
 //! Common flags: `--quick` (thinned grids, exact solvers dropped),
 //! `--out <dir>` (CSV/report output directory, default `experiments/`),
 //! `--strict` (non-zero exit on rejected cells or empty solutions),

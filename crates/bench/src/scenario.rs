@@ -6,10 +6,9 @@
 //! dataset *stats* tables — that fully describes one experiment
 //! artifact. The 11 paper artifacts (`fig3`–`fig11`, `table1`,
 //! `table2`) are thin JSON files embedded at build time
-//! ([`builtin_specs`]); each legacy binary name is an alias that loads
-//! its spec and hands it to [`run_spec`], and the `scenarios` binary
-//! runs any built-in or on-disk spec. New experiments are new spec
-//! files, not new binaries.
+//! ([`builtin_specs`]); the `scenarios` binary loads any built-in or
+//! on-disk spec by name and hands it to [`run_spec`]. New experiments
+//! are new spec files, not new binaries.
 //!
 //! `--quick` thins every grid axis to at most three points, caps
 //! repetitions at one, and drops exact solvers (unless the job pins
@@ -995,49 +994,6 @@ pub fn cell_to_json(dataset: &str, cell: &CellOutcome) -> Value {
         }
     }
     obj(pairs)
-}
-
-/// Prints the built-in specs (the `--list` flag of every binary).
-pub fn list_specs() {
-    println!("built-in scenario specs:");
-    for (name, _) in builtin_specs() {
-        let spec = load_spec(name).expect("built-in specs always parse");
-        println!("  {name:<8} {}", spec.title);
-    }
-}
-
-/// Entry point shared by the legacy alias binaries (`fig3` … `table2`):
-/// parse the common flags, load the named built-in spec, run it, and
-/// exit non-zero on failure (or on `--strict` violations).
-pub fn alias_main(name: &str) {
-    let args = ExpArgs::parse();
-    if args.list {
-        list_specs();
-        return;
-    }
-    let spec_name = args.spec.as_deref().unwrap_or(name);
-    let spec = match load_spec(spec_name) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    match run_spec(&spec, &args) {
-        Ok(summary) => {
-            if args.strict && summary.strict_failure() {
-                eprintln!(
-                    "strict failure: {} ok cells, {} errors, {} empty solutions",
-                    summary.ok_cells, summary.error_cells, summary.empty_solutions
-                );
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The maximum-coverage utility oracle: decremental per-item
 //! uncovered-overlap counters over a packed word-parallel kernel.
 
-use fair_submod_core::bitset::{pack_sparse, FixedBitset, KERNEL_WORDS, WORD_BITS};
+use fair_submod_core::bitset::{pack_sparse, FixedBitset, WORD_BITS};
 use fair_submod_core::engine::{validate_shard_members, validate_shard_partition, SolverError};
 use fair_submod_core::items::ItemId;
 use fair_submod_core::system::UtilitySystem;
@@ -23,10 +23,10 @@ use crate::set_system::SetSystem;
 /// the same packed bits, so duplicate listings can never
 /// double-decrement). Each user is drained exactly once per run.
 ///
-/// The pre-counter kernels are retained for equivalence tests and
-/// benchmarks: [`CoverageOracle::scan_reference`] (packed word-popcount
-/// rescans) and [`CoverageOracle::unpacked_reference`] (the seed
-/// `Vec<bool>` element-at-a-time kernel).
+/// The seed `Vec<bool>` element-at-a-time kernel is retained for
+/// equivalence tests and benchmarks as
+/// [`CoverageOracle::unpacked_reference`]. It reads the raw element
+/// lists, not the packed words, so a packing bug cannot hide in both.
 #[derive(Clone, Debug)]
 pub struct CoverageOracle {
     sets: SetSystem,
@@ -36,9 +36,6 @@ pub struct CoverageOracle {
     item_offsets: Vec<usize>,
     /// Sparse `(word, element mask)` pairs per item.
     item_words: Vec<(u32, u64)>,
-    /// Dense per-group word masks over the element universe: bit `u` of
-    /// `group_masks[g]` is set iff user `u` belongs to group `g`.
-    group_masks: Vec<Vec<u64>>,
     /// CSR over users into `user_items`: the items whose element masks
     /// contain each user. Drives the decremental counter updates.
     user_offsets: Vec<usize>,
@@ -71,12 +68,6 @@ impl CoverageOracle {
         for v in 0..sets.num_sets() {
             item_words.extend(pack_sparse(sets.set(v)));
             item_offsets.push(item_words.len());
-        }
-
-        let num_words = FixedBitset::zeros(m).words().len();
-        let mut group_masks = vec![vec![0u64; num_words]; c];
-        for (u, &g) in group_of.iter().enumerate() {
-            group_masks[g as usize][u / 64] |= 1u64 << (u % 64);
         }
 
         // User → items inverted index and the base counters, both read
@@ -120,7 +111,6 @@ impl CoverageOracle {
             group_sizes: groups.sizes().to_vec(),
             item_offsets,
             item_words,
-            group_masks,
             user_offsets,
             user_items,
             base_counts,
@@ -189,49 +179,9 @@ impl CoverageOracle {
         }
     }
 
-    /// The packed word-popcount rescan kernel over the same instance —
-    /// the pre-counter implementation (PR 2's kernel, now with the
-    /// 8-word complement-masked popcount), kept as the "before" side of
-    /// the incremental-equivalence tests and perfbase scenarios.
-    pub fn scan_reference(&self) -> ScanCoverageOracle {
-        ScanCoverageOracle(self.clone())
-    }
-
     #[inline]
     fn words_of(&self, item: usize) -> &[(u32, u64)] {
         &self.item_words[self.item_offsets[item]..self.item_offsets[item + 1]]
-    }
-
-    /// The word-parallel rescan gain kernel: complement-mask the item's
-    /// words against the covered bitset ([`KERNEL_WORDS`] pairs at a
-    /// time), then popcount the surviving free masks against each
-    /// group's membership words. Integer counts accumulated in `f64`
-    /// (exact), so it agrees bit for bit with the counter reads.
-    fn scan_group_gains(&self, covered: &[u64], item: ItemId, out: &mut [f64]) {
-        out.fill(0.0);
-        let mut free_buf = [0u64; KERNEL_WORDS];
-        let mut word_buf = [0u32; KERNEL_WORDS];
-        for chunk in self.words_of(item as usize).chunks(KERNEL_WORDS) {
-            let mut len = 0usize;
-            for &(w, mask) in chunk {
-                let free = mask & !covered[w as usize];
-                if free != 0 {
-                    free_buf[len] = free;
-                    word_buf[len] = w;
-                    len += 1;
-                }
-            }
-            if len == 0 {
-                continue;
-            }
-            for (g, gm) in self.group_masks.iter().enumerate() {
-                let mut cnt = 0u32;
-                for i in 0..len {
-                    cnt += (free_buf[i] & gm[word_buf[i] as usize]).count_ones();
-                }
-                out[g] += cnt as f64;
-            }
-        }
     }
 }
 
@@ -268,8 +218,8 @@ impl UtilitySystem for CoverageOracle {
     }
 
     /// Counter read: `c` loads per query. Coverage gains are exact
-    /// integers, so this is trivially bit-identical to both rescan
-    /// kernels.
+    /// integers, so this is trivially bit-identical to the unpacked
+    /// reference kernel.
     fn group_gains(&self, inner: &Self::Inner, item: ItemId, out: &mut [f64]) {
         let c = self.group_sizes.len();
         let row = &inner.counts[item as usize * c..item as usize * c + c];
@@ -315,7 +265,7 @@ impl UtilitySystem for CoverageOracle {
 
     /// Advisory footprint for the byte-budgeted instance store
     /// (DESIGN.md §11): the set-system CSR plus every derived structure
-    /// (packed masks, group masks, inverted index, base counters).
+    /// (packed masks, inverted index, base counters).
     fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.sets.approx_bytes()
@@ -323,55 +273,9 @@ impl UtilitySystem for CoverageOracle {
             + self.group_sizes.len() * size_of::<usize>()
             + self.item_offsets.len() * size_of::<usize>()
             + self.item_words.len() * size_of::<(u32, u64)>()
-            + self
-                .group_masks
-                .iter()
-                .map(|m| m.len() * size_of::<u64>())
-                .sum::<usize>()
             + self.user_offsets.len() * size_of::<usize>()
             + self.user_items.len() * size_of::<u32>()
             + self.base_counts.len() * size_of::<u32>()
-    }
-}
-
-/// The pre-counter packed kernel: word-popcount rescans per gain query
-/// over a plain covered bitset. See [`CoverageOracle::scan_reference`].
-#[derive(Clone, Debug)]
-pub struct ScanCoverageOracle(CoverageOracle);
-
-impl UtilitySystem for ScanCoverageOracle {
-    /// Packed covered flag per user (no counters to maintain).
-    type Inner = FixedBitset;
-
-    fn num_items(&self) -> usize {
-        self.0.sets.num_sets()
-    }
-
-    fn num_users(&self) -> usize {
-        self.0.sets.num_elements()
-    }
-
-    fn group_sizes(&self) -> &[usize] {
-        &self.0.group_sizes
-    }
-
-    fn init_inner(&self) -> Self::Inner {
-        FixedBitset::zeros(self.0.sets.num_elements())
-    }
-
-    fn group_gains(&self, inner: &Self::Inner, item: ItemId, out: &mut [f64]) {
-        self.0.scan_group_gains(inner.words(), item, out);
-    }
-
-    fn group_gains_batch(&self, inner: &Self::Inner, items: &[ItemId], out: &mut [f64]) {
-        fair_submod_core::system::parallel_group_gains(self, inner, items, out);
-    }
-
-    fn apply(&self, inner: &mut Self::Inner, item: ItemId) {
-        let covered = inner.words_mut();
-        for &(w, mask) in self.0.words_of(item as usize) {
-            covered[w as usize] |= mask;
-        }
     }
 }
 
@@ -531,39 +435,25 @@ mod tests {
     fn packed_kernel_is_bit_identical_to_unpacked_reference() {
         let oracle = figure1_oracle();
         let reference = oracle.unpacked_reference();
-        let mut packed = SolutionState::new(&oracle);
-        let mut plain = SolutionState::new(&reference);
         let mut gp = [0.0; 2];
         let mut gq = [0.0; 2];
-        for &step in &[1u32, 3, 0, 2] {
-            for v in 0..4u32 {
-                packed.gains_into(v, &mut gp);
-                plain.gains_into(v, &mut gq);
-                assert_eq!(gp.map(f64::to_bits), gq.map(f64::to_bits), "item {v}");
+        for order in [[1u32, 3, 0, 2], [2, 0, 3, 1]] {
+            let mut packed = SolutionState::new(&oracle);
+            let mut plain = SolutionState::new(&reference);
+            for step in order {
+                for v in 0..4u32 {
+                    packed.gains_into(v, &mut gp);
+                    plain.gains_into(v, &mut gq);
+                    assert_eq!(
+                        gp.map(f64::to_bits),
+                        gq.map(f64::to_bits),
+                        "order {order:?}, item {v}"
+                    );
+                }
+                packed.insert(step);
+                plain.insert(step);
+                assert_eq!(packed.group_sums(), plain.group_sums());
             }
-            packed.insert(step);
-            plain.insert(step);
-            assert_eq!(packed.group_sums(), plain.group_sums());
-        }
-    }
-
-    #[test]
-    fn counter_kernel_matches_scan_reference_bitwise() {
-        let oracle = figure1_oracle();
-        let scan = oracle.scan_reference();
-        let mut inc = SolutionState::new(&oracle);
-        let mut refc = SolutionState::new(&scan);
-        let mut gi = [0.0; 2];
-        let mut gr = [0.0; 2];
-        for &step in &[2u32, 0, 3, 1] {
-            for v in 0..4u32 {
-                inc.gains_into(v, &mut gi);
-                refc.gains_into(v, &mut gr);
-                assert_eq!(gi.map(f64::to_bits), gr.map(f64::to_bits), "item {v}");
-            }
-            inc.insert(step);
-            refc.insert(step);
-            assert_eq!(inc.group_sums(), refc.group_sums());
         }
     }
 

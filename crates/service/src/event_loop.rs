@@ -11,8 +11,8 @@
 //! [`crate::http::parse_request`] carving requests off its front,
 //! encoded responses accumulating in `write_buf` — so ten thousand
 //! idle keep-alive connections cost ten thousand slab entries, not ten
-//! thousand parked threads (the blocking [`crate::http::Server`]'s
-//! failure mode).
+//! thousand parked threads (the failure mode of the thread-per-connection
+//! server this loop replaced; DESIGN.md §10).
 //!
 //! Parsed requests are dispatched to a [`WorkerPool`] with a **bounded
 //! queue**: when the queue is at its high-water mark the request is
@@ -345,8 +345,8 @@ struct Completion {
     close: bool,
 }
 
-/// The event-driven replacement for [`crate::http::Server`]: same
-/// handler contract, readiness-loop execution model.
+/// The daemon's HTTP server: a readiness loop over every connection,
+/// running a `Fn(&Request) -> Response` handler on a worker pool.
 pub struct EventServer {
     listener: TcpListener,
     config: EventConfig,

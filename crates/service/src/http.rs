@@ -1,6 +1,6 @@
-//! The HTTP/1.1 wire layer shared by both servers: an incremental
-//! buffer-based request parser, response encoding, and the blocking
-//! thread-per-connection reference server.
+//! The HTTP/1.1 wire layer: an incremental buffer-based request
+//! parser, response encoding, and a client-side response reader for
+//! tests and benchmark clients.
 //!
 //! This is deliberately not a general web server — it covers exactly
 //! what the solve daemon needs: `GET`/`POST`, `Content-Length` bodies
@@ -10,22 +10,13 @@
 //!
 //! The parser is **pull-based over a byte buffer** ([`parse_request`]):
 //! callers append whatever bytes arrived and ask for the next complete
-//! request, which is what a readiness loop needs (the event-driven
-//! server in [`crate::event_loop`]) and what a blocking reader can
-//! trivially wrap ([`RequestReader`]). Both servers therefore accept
-//! and reject byte-for-byte the same inputs — the property the
-//! blocking-vs-event equivalence test pins.
+//! request, which is what the readiness loop in [`crate::event_loop`]
+//! needs — it never blocks on a socket, and pipelining is just calling
+//! it again on the leftover bytes.
 //!
 //! Limits: request head (request line + headers) ≤ 16 KiB (`400` past
 //! it), body ≤ 8 MiB (`413` past it, distinguished from malformed so
-//! clients can tell "shrink the payload" from "fix the syntax"). The
-//! blocking path additionally arms a socket read timeout so a stalled
-//! client can never pin its thread forever (see [`Server`]).
-
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
-use std::time::Duration;
+//! clients can tell "shrink the payload" from "fix the syntax").
 
 use serde::json::Value;
 
@@ -33,9 +24,6 @@ use serde::json::Value;
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// Maximum accepted request head (request line + headers), in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
-/// Default read deadline of the blocking server: a connection that
-/// leaves a request unfinished this long is dropped (slowloris guard).
-pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One parsed HTTP request.
 #[derive(Clone, Debug)]
@@ -267,90 +255,9 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     message
 }
 
-/// Writes `response`, announcing whether the connection stays open.
-pub fn write_response(
-    stream: &mut TcpStream,
-    response: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&encode_response(response, keep_alive))?;
-    stream.flush()
-}
-
-// ── Blocking request reading ─────────────────────────────────────────
-
-/// Why reading a request from a connection stopped.
-#[derive(Debug)]
-pub enum ReadError {
-    /// The peer closed the connection cleanly between requests.
-    Closed,
-    /// No complete request arrived within the read timeout — the
-    /// slowloris case. The connection is dropped without a response.
-    TimedOut,
-    /// The request was malformed or exceeded the head limit; the
-    /// message is safe to echo back in a 400 body.
-    Malformed(String),
-    /// The head was well-formed but announced a body over
-    /// [`MAX_BODY_BYTES`]; answered with `413`.
-    BodyTooLarge(usize),
-}
-
-/// Blocking request source over one connection: feeds socket bytes
-/// into [`parse_request`], carrying leftover bytes across calls so
-/// pipelined requests are never lost between reads.
-pub struct RequestReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl RequestReader {
-    /// Wraps a connection (does not touch its socket options).
-    pub fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Reads until one complete request is available and returns it.
-    pub fn next_request(&mut self) -> Result<Request, ReadError> {
-        loop {
-            match parse_request(&self.buf, MAX_HEAD_BYTES, MAX_BODY_BYTES) {
-                Ok(Some((request, consumed))) => {
-                    self.buf.drain(..consumed);
-                    return Ok(request);
-                }
-                Ok(None) => {}
-                Err(ParseError::Malformed(m)) => return Err(ReadError::Malformed(m)),
-                Err(ParseError::BodyTooLarge { length }) => {
-                    return Err(ReadError::BodyTooLarge(length))
-                }
-            }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(if self.buf.is_empty() {
-                        ReadError::Closed
-                    } else {
-                        ReadError::Malformed("connection closed mid-request".into())
-                    })
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Err(ReadError::TimedOut)
-                }
-                Err(e) => return Err(ReadError::Malformed(format!("read: {e}"))),
-            }
-        }
-    }
-}
-
 /// Reads one HTTP response from the client side of a connection:
 /// `(status, headers, body)`, header names lower-cased. The counterpart
-/// of [`write_response`] — test clients parse the wire format through
+/// of [`encode_response`] — test clients parse the wire format through
 /// this one function instead of re-implementing it.
 pub fn read_response(
     reader: &mut impl std::io::BufRead,
@@ -391,109 +298,7 @@ pub fn read_response(
     Ok((status, headers, body))
 }
 
-// ── The blocking reference server ────────────────────────────────────
-
-/// The thread-per-connection server: the pre-event-loop design, kept
-/// as the `--blocking` escape hatch and as the reference twin the
-/// equivalence suite compares the event-driven server against.
-///
-/// Every accepted connection gets its own thread; a socket read
-/// timeout (default [`DEFAULT_READ_TIMEOUT`]) bounds how long a
-/// stalled client can hold that thread mid-request. Nothing bounds the
-/// number of threads — that unboundedness is exactly why
-/// [`crate::event_loop::EventServer`] replaced this as the default.
-pub struct Server {
-    listener: TcpListener,
-    read_timeout: Duration,
-}
-
-impl Server {
-    /// Binds the listener (use port 0 for an ephemeral port).
-    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Ok(Self {
-            listener: TcpListener::bind(addr)?,
-            read_timeout: DEFAULT_READ_TIMEOUT,
-        })
-    }
-
-    /// Replaces the per-connection read deadline.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// The bound address (reports the actual ephemeral port).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Serves forever: accepts connections and hands each to its own
-    /// thread running `handler` per request. Per-connection accept
-    /// errors (client reset before accept, transient fd exhaustion
-    /// under a spike) are logged and survived — a long-running daemon
-    /// must not die because one accept failed — with a short backoff
-    /// so an error storm cannot spin the loop hot.
-    pub fn run<H>(self, handler: Arc<H>) -> std::io::Result<()>
-    where
-        H: Fn(&Request) -> Response + Send + Sync + 'static,
-    {
-        let timeout = self.read_timeout;
-        for stream in self.listener.incoming() {
-            match stream {
-                Ok(stream) => {
-                    let handler = Arc::clone(&handler);
-                    std::thread::spawn(move || serve_connection(stream, handler.as_ref(), timeout));
-                }
-                Err(e) => {
-                    eprintln!("[service] accept error (continuing): {e}");
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Serves requests on one connection until it closes, times out, or
-/// errors.
-fn serve_connection<H>(stream: TcpStream, handler: &H, read_timeout: Duration)
-where
-    H: Fn(&Request) -> Response,
-{
-    let _ = stream.set_nodelay(true);
-    // The slowloris guard: without this, a client that sends half a
-    // request and stalls parks this thread forever.
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = RequestReader::new(read_half);
-    let mut stream = stream;
-    loop {
-        match reader.next_request() {
-            Ok(request) => {
-                let keep_alive = !request.wants_close();
-                let response = handler(&request);
-                if write_response(&mut stream, &response, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(ReadError::Closed | ReadError::TimedOut) => return,
-            Err(ReadError::Malformed(message)) => {
-                let body = serde::json::obj([("error", Value::Str(message))]);
-                let _ = write_response(&mut stream, &Response::json(400, &body), false);
-                return;
-            }
-            Err(ReadError::BodyTooLarge(length)) => {
-                let _ = write_response(&mut stream, &payload_too_large(length), false);
-                return;
-            }
-        }
-    }
-}
-
-/// The shared `413` answer for a body over the cap (same bytes from
-/// both servers).
+/// The `413` answer for a body over the cap.
 pub fn payload_too_large(length: usize) -> Response {
     Response::json(
         413,
@@ -509,25 +314,17 @@ pub fn payload_too_large(length: usize) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn roundtrip(raw: &[u8]) -> Result<Request, ReadError> {
-        // Push raw bytes through a real loopback socket so the parser
-        // sees exactly what a client would send.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw).unwrap();
-        client.flush().unwrap();
-        drop(client);
-        let (server_side, _) = listener.accept().unwrap();
-        RequestReader::new(server_side).next_request()
+    /// Parses the one request `raw` holds, dropping the consumed count.
+    fn parse(raw: &[u8]) -> Result<Option<Request>, ParseError> {
+        parse_request(raw, MAX_HEAD_BYTES, MAX_BODY_BYTES).map(|r| r.map(|(req, _)| req))
     }
 
     #[test]
     fn parses_post_with_body_and_query() {
         let req =
-            roundtrip(b"POST /solve?debug=1 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+            parse(b"POST /solve?debug=1 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+                .unwrap()
                 .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/solve");
@@ -540,21 +337,24 @@ mod tests {
 
     #[test]
     fn connection_close_is_honored() {
-        let req = roundtrip(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap()
+            .unwrap();
         assert!(req.wants_close());
         assert!(req.body.is_empty());
     }
 
     #[test]
     fn malformed_requests_are_rejected() {
-        assert!(matches!(roundtrip(b""), Err(ReadError::Closed)));
+        // An empty buffer is a request not yet started, not an error.
+        assert!(matches!(parse(b""), Ok(None)));
         assert!(matches!(
-            roundtrip(b"NOT-HTTP\r\n\r\n"),
-            Err(ReadError::Malformed(_))
+            parse(b"NOT-HTTP\r\n\r\n"),
+            Err(ParseError::Malformed(_))
         ));
         assert!(matches!(
-            roundtrip(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
-            Err(ReadError::Malformed(_))
+            parse(b"GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
+            Err(ParseError::Malformed(_))
         ));
     }
 
@@ -564,25 +364,27 @@ mod tests {
         // a 400: the head is perfectly well-formed.
         let huge = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
         assert!(matches!(
-            roundtrip(huge.as_bytes()),
-            Err(ReadError::BodyTooLarge(_))
+            parse(huge.as_bytes()),
+            Err(ParseError::BodyTooLarge { length: usize::MAX })
         ));
     }
 
     #[test]
     fn endless_head_without_newline_is_bounded() {
         // A newline-free request line must be rejected once it passes
-        // the head budget — not buffered indefinitely.
+        // the head budget — not buffered indefinitely, whether or not
+        // its end has arrived yet.
         let mut raw = vec![b'A'; MAX_HEAD_BYTES + 64];
+        assert!(matches!(parse(&raw), Err(ParseError::Malformed(_))));
         raw.extend_from_slice(b" / HTTP/1.1\r\n\r\n");
-        assert!(matches!(roundtrip(&raw), Err(ReadError::Malformed(_))));
+        assert!(matches!(parse(&raw), Err(ParseError::Malformed(_))));
         // Same for an oversized header section of many small lines.
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
         for i in 0..2_000 {
             raw.extend_from_slice(format!("x-h{i}: {}\r\n", "v".repeat(64)).as_bytes());
         }
         raw.extend_from_slice(b"\r\n");
-        assert!(matches!(roundtrip(&raw), Err(ReadError::Malformed(_))));
+        assert!(matches!(parse(&raw), Err(ParseError::Malformed(_))));
     }
 
     #[test]
@@ -592,13 +394,7 @@ mod tests {
         // byte parses to None (need more data), never to an error.
         let first_len = wire.iter().len() - b"GET /b HTTP/1.1\r\n\r\n".len();
         for cut in 0..first_len {
-            assert!(
-                matches!(
-                    parse_request(&wire[..cut], MAX_HEAD_BYTES, MAX_BODY_BYTES),
-                    Ok(None)
-                ),
-                "cut {cut}"
-            );
+            assert!(matches!(parse(&wire[..cut]), Ok(None)), "cut {cut}");
         }
         // The full buffer yields the first request and its exact length;
         // the remainder parses as the pipelined second request.
@@ -618,41 +414,19 @@ mod tests {
     }
 
     #[test]
-    fn slow_clients_time_out_instead_of_pinning_the_thread() {
-        // Half a request then silence: next_request must return
-        // TimedOut once the socket deadline fires, not block forever.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(b"GET /healthz HTT").unwrap();
-        client.flush().unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        server_side
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let started = std::time::Instant::now();
-        let result = RequestReader::new(server_side).next_request();
-        assert!(matches!(result, Err(ReadError::TimedOut)), "{result:?}");
-        assert!(started.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
     fn responses_serialize_with_length_and_connection() {
-        // Write through a loopback socket and read the raw bytes back.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server_side, _) = listener.accept().unwrap();
         let body = serde::json::obj([("ok", Value::Bool(true))]);
-        write_response(&mut server_side, &Response::json(200, &body), false).unwrap();
-        drop(server_side);
-        let mut raw = String::new();
-        let mut reader = BufReader::new(client);
-        reader.read_to_string(&mut raw).unwrap();
+        let wire = encode_response(&Response::json(200, &body), false);
+        let raw = String::from_utf8(wire.clone()).unwrap();
         assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(raw.contains("Content-Type: application/json\r\n"));
         assert!(raw.contains("Content-Length: 11\r\n"));
         assert!(raw.contains("Connection: close\r\n"));
         assert!(raw.ends_with("{\"ok\":true}"));
+        // The client-side reader takes the same bytes apart again.
+        let (status, headers, read_body) = read_response(&mut wire.as_slice()).unwrap();
+        assert_eq!(status, 200);
+        assert!(headers.contains(&("connection".into(), "close".into())));
+        assert_eq!(read_body, b"{\"ok\":true}");
     }
 }

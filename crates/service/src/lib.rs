@@ -14,7 +14,7 @@
 //! and parameters per call (τ/ε are query-time knobs over a fixed
 //! ground set, exactly the query-primitive framing of the paper), and
 //! the shared [`fair_submod_core::engine::SolverRegistry`] answers
-//! them from any connection thread.
+//! them from any worker thread.
 //!
 //! Start the daemon with `cargo run -p fair-submod-service` (instance
 //! flags: `--addr host:port`, `--capacity N` instances, `--rr-sets`,
@@ -24,9 +24,9 @@
 //!
 //! ## Concurrency model
 //!
-//! The default server is an event-driven readiness loop
+//! The server is an event-driven readiness loop
 //! ([`event_loop::EventServer`], running on the workspace `polling`
-//! shim — epoll on Linux, poll(2) fallback): one thread owns every
+//! shim — epoll on Linux, poll(2) elsewhere): one thread owns every
 //! nonblocking connection, parses requests incrementally, and
 //! dispatches them to a fixed [`workers::WorkerPool`] through a
 //! bounded queue. Keep-alive connections may pipeline; responses are
@@ -36,10 +36,9 @@
 //! `--read-timeout-secs`); bodies over [`http::MAX_BODY_BYTES`] draw
 //! `413`; SIGINT/SIGTERM drain in-flight work before exit. Knobs:
 //! `--workers`, `--queue-capacity`, `--max-connections`,
-//! `--max-pipeline`. `--blocking` selects [`serve_blocking`], the
-//! thread-per-connection reference twin — same
-//! [`server::ServiceState::handle`], byte-identical responses (proven
-//! by `tests/service_concurrency.rs`), kept as an escape hatch.
+//! `--max-pipeline`. `tests/golden/surface.jsonl` pins the bytes of
+//! every endpoint's answers (timing and host fields masked), and
+//! `tests/service_concurrency.rs` replays the server against it.
 //!
 //! Per-tenant quotas ([`tenants::TenantQuotas`], keyed by the
 //! `X-Tenant` header, default off) enforce a token bucket on solve
@@ -47,7 +46,7 @@
 //! past it) and occupancy caps on instance-store slots and parked
 //! anytime sessions (`--tenant-max-instances`,
 //! `--tenant-max-sessions`). Enforcement lives in the handler layer,
-//! so both servers apply identical policy. See DESIGN.md §10.
+//! not the I/O loop. See DESIGN.md §10.
 //!
 //! ## Endpoints
 //!
@@ -114,8 +113,8 @@
 //! through an event-driven client (`--connections N`, `--pipeline D`,
 //! `--mode closed|open`, `--no-keepalive`), writing p50/p95/p99/max
 //! latencies, throughput, and error/shed counts to
-//! `BENCH_service.json`; `--compare` sweeps 16/256/1024 connections
-//! against both this server and the `--blocking` twin.
+//! `BENCH_service.json`; `--sweep` repeats the run at 16/256/1024
+//! connections.
 
 pub mod event_loop;
 pub mod http;
@@ -128,7 +127,7 @@ pub mod workers;
 
 pub use event_loop::{EventConfig, EventServer, ServerMetrics, ShutdownHandle};
 pub use instance::{canonical_key, Instance, InstanceConfig};
-pub use server::{serve, serve_blocking, serve_with, ServiceState};
+pub use server::{serve, serve_with, ServiceState};
 pub use sessions::{ParkedSession, SessionStore};
 pub use store::{CacheStatus, InstanceStore};
 pub use tenants::{QuotaConfig, TenantQuotas};

@@ -4,9 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fair_submod_service::{
-    serve_blocking, EventConfig, EventServer, InstanceConfig, QuotaConfig, ServiceState,
-};
+use fair_submod_service::{EventConfig, EventServer, InstanceConfig, QuotaConfig, ServiceState};
 
 const USAGE: &str = "\
 fair-submod-service: long-running BSM solve daemon (HTTP/1.1 + JSON)
@@ -15,7 +13,7 @@ USAGE:
     fair-submod-service [--addr HOST:PORT] [--capacity N] [--quick]
                         [--max-instance-bytes N]
                         [--rr-sets N] [--mc-runs N] [--pokec-nodes N]
-                        [--blocking] [--workers N] [--queue-capacity N]
+                        [--workers N] [--queue-capacity N]
                         [--max-connections N] [--idle-timeout-secs N]
                         [--read-timeout-secs N] [--max-pipeline N]
                         [--tenant-rate R] [--tenant-burst B]
@@ -33,16 +31,14 @@ INSTANCE FLAGS:
     --mc-runs N        Monte-Carlo runs per influence evaluation
     --pokec-nodes N    node count of the Pokec stand-in
 
-SERVER FLAGS (event-driven loop; the default server):
-    --blocking              thread-per-connection reference server instead
+SERVER FLAGS (event-driven readiness loop):
     --workers N             handler threads (default: auto, at least 2)
     --queue-capacity N      admission high-water mark; past it solve
                             requests draw 503 + Retry-After (default 256)
     --max-connections N     open-connection cap (default 4096)
     --idle-timeout-secs N   reap idle keep-alive connections (default 30)
     --read-timeout-secs N   slowloris guard: a request head must finish
-                            within N seconds (default 30; also arms the
-                            blocking server's socket read timeout)
+                            within N seconds (default 30)
     --max-pipeline N        pipelined requests in flight per connection
                             before reads pause (default 32)
 
@@ -60,7 +56,6 @@ fn main() {
     let mut capacity = 8usize;
     let mut max_instance_bytes = usize::MAX;
     let mut quick = false;
-    let mut blocking = false;
     let mut cfg = InstanceConfig::default();
     let mut event = EventConfig::default();
     let mut quotas = QuotaConfig::unlimited();
@@ -85,7 +80,6 @@ fn main() {
                 max_instance_bytes = int("--max-instance-bytes", value("--max-instance-bytes"))
             }
             "--quick" => quick = true,
-            "--blocking" => blocking = true,
             "--rr-sets" => cfg.rr_sets = int("--rr-sets", value("--rr-sets")),
             "--mc-runs" => cfg.mc_runs = int("--mc-runs", value("--mc-runs")),
             "--pokec-nodes" => cfg.pokec_nodes = int("--pokec-nodes", value("--pokec-nodes")),
@@ -148,41 +142,28 @@ fn main() {
         if quotas.is_limiting() { "on" } else { "off" },
     );
 
-    let on_bound = |bound: std::net::SocketAddr| {
-        // The loadgen --spawn handshake parses this exact stdout line.
-        use std::io::Write;
-        println!("fair-submod-service listening on {bound}");
-        let _ = std::io::stdout().flush();
-    };
-
-    let result = if blocking {
-        eprintln!("[service] blocking (thread-per-connection) server");
-        serve_blocking(&addr, state, on_bound)
-    } else {
-        match EventServer::bind(&addr, event) {
-            Ok(server) => {
-                // SIGINT/SIGTERM write a byte to the shutdown pipe; the
-                // loop drains in-flight work and returns.
-                match server.shutdown_handle() {
-                    Ok(handle) => {
-                        polling::signals::notify_on_terminate(handle.notify_fd());
-                        // Leak the handle: the signal handler's target fd
-                        // must stay open for the process lifetime.
-                        std::mem::forget(handle);
-                    }
-                    Err(e) => eprintln!("[service] no signal handling: {e}"),
-                }
-                server
-                    .local_addr()
-                    .map(on_bound)
-                    .and_then(|()| server.run(Arc::new(move |req: &_| state.handle(req))))
-                    .inspect(|()| eprintln!("[service] drained, exiting"))
+    let result = EventServer::bind(&addr, event).and_then(|server| {
+        // SIGINT/SIGTERM write a byte to the shutdown pipe; the loop
+        // drains in-flight work and returns.
+        match server.shutdown_handle() {
+            Ok(handle) => {
+                polling::signals::notify_on_terminate(handle.notify_fd());
+                // Leak the handle: the signal handler's target fd must
+                // stay open for the process lifetime.
+                std::mem::forget(handle);
             }
-            Err(e) => Err(e),
+            Err(e) => eprintln!("[service] no signal handling: {e}"),
         }
-    };
-    if let Err(e) = result {
-        eprintln!("[service] fatal: {e}");
-        std::process::exit(1);
+        // The loadgen --spawn handshake parses this exact stdout line.
+        println!("fair-submod-service listening on {}", server.local_addr()?);
+        let _ = std::io::Write::flush(&mut std::io::stdout());
+        server.run(Arc::new(move |req: &_| state.handle(req)))
+    });
+    match result {
+        Ok(()) => eprintln!("[service] drained, exiting"),
+        Err(e) => {
+            eprintln!("[service] fatal: {e}");
+            std::process::exit(1);
+        }
     }
 }

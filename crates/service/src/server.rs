@@ -2,7 +2,7 @@
 //!
 //! One [`ServiceState`] lives for the whole daemon: the solver
 //! registry (built once), the instance store, and request counters.
-//! Every connection thread routes through [`ServiceState::handle`],
+//! Every worker thread routes through [`ServiceState::handle`],
 //! which is a pure `&self` function — all mutability is behind the
 //! store's internal lock and atomic counters, so requests on different
 //! instances never serialize on each other.
@@ -26,7 +26,7 @@ use fair_submod_core::engine::{
 use fair_submod_core::prelude::shard_partition;
 
 use crate::event_loop::{EventConfig, EventServer};
-use crate::http::{Request, Response, Server};
+use crate::http::{Request, Response};
 use crate::instance::{
     canonical_key, shard_canonical_key, validate_request, Instance, InstanceConfig,
 };
@@ -47,7 +47,7 @@ const MAX_ANYTIME_CHUNK: usize = 100_000;
 /// would let one request flood the LRU cache.
 pub const MAX_SOLVE_SHARDS: usize = 64;
 
-/// Long-lived daemon state shared by all connection threads.
+/// Long-lived daemon state shared by all worker threads.
 pub struct ServiceState {
     /// The full solver suite, built once at startup.
     pub registry: SolverRegistry,
@@ -100,7 +100,9 @@ impl ServiceState {
 
     /// Routes one request. Panics in handlers (there should be none —
     /// solver rejections are typed errors) are caught and mapped to a
-    /// 500 so a bad request can never take the daemon down.
+    /// 500. A stack overflow is not a panic and would abort the
+    /// process; request bodies cannot cause one because the JSON
+    /// parser caps nesting at [`serde::json::MAX_DEPTH`].
     pub fn handle(&self, request: &Request) -> Response {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let result = catch_unwind(AssertUnwindSafe(|| self.route(request)));
@@ -873,19 +875,6 @@ pub fn serve_with(
     on_bound: impl FnOnce(std::net::SocketAddr),
 ) -> std::io::Result<()> {
     let server = EventServer::bind(addr, config)?;
-    on_bound(server.local_addr()?);
-    server.run(Arc::new(move |request: &Request| state.handle(request)))
-}
-
-/// The pre-event-loop path, kept as the `--blocking` escape hatch and
-/// as the reference twin for response-equivalence testing: one thread
-/// per connection over the exact same [`ServiceState::handle`].
-pub fn serve_blocking(
-    addr: &str,
-    state: Arc<ServiceState>,
-    on_bound: impl FnOnce(std::net::SocketAddr),
-) -> std::io::Result<()> {
-    let server = Server::bind(addr)?;
     on_bound(server.local_addr()?);
     server.run(Arc::new(move |request: &Request| state.handle(request)))
 }

@@ -3,10 +3,9 @@
 //!
 //! Tenancy is declared by the `X-Tenant` request header (absent means
 //! the anonymous tenant `""`). Enforcement lives in the *handler*
-//! layer ([`crate::server::ServiceState`]), deliberately not in either
-//! server's I/O loop, so the blocking and event-driven servers apply
-//! byte-identical policy — the response-equivalence suite leans on
-//! that.
+//! layer ([`crate::server::ServiceState`]), deliberately not in the
+//! server's I/O loop, so any server driving the handler applies
+//! byte-identical policy.
 //!
 //! Two mechanisms:
 //!

@@ -1,10 +1,9 @@
 //! Socket-level tests for the event-driven server's concurrency
 //! behavior — keep-alive reuse, pipelining, request-size and slowloris
-//! limits, admission-control shedding, tenant quotas — plus the
-//! blocking-vs-event response-equivalence suite: both servers drive
-//! the same [`ServiceState::handle`], so an identical request script
-//! must produce byte-identical bodies once volatile timing fields are
-//! normalized.
+//! limits, admission-control shedding, tenant quotas — plus the golden
+//! transcript: a fixed request script over the whole endpoint surface
+//! whose answers, once volatile timing and host fields are normalized,
+//! must match `tests/golden/surface.jsonl` byte for byte.
 
 use std::io::{BufReader, Read as _, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,7 +14,7 @@ use serde::json::{obj, parse_bytes, Value};
 
 use fair_submod_service::http::{read_response, Request, Response};
 use fair_submod_service::{
-    serve_blocking, serve_with, EventConfig, EventServer, InstanceConfig, QuotaConfig, ServiceState,
+    serve_with, EventConfig, EventServer, InstanceConfig, QuotaConfig, ServiceState,
 };
 
 fn quick_state() -> Arc<ServiceState> {
@@ -28,18 +27,6 @@ fn spawn_event(state: Arc<ServiceState>, config: EventConfig) -> SocketAddr {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         serve_with("127.0.0.1:0", state, config, move |addr| {
-            tx.send(addr).expect("report bound address");
-        })
-        .expect("daemon serves");
-    });
-    rx.recv().expect("daemon binds")
-}
-
-/// Thread-per-connection reference daemon over the same state layer.
-fn spawn_blocking(state: Arc<ServiceState>) -> SocketAddr {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        serve_blocking("127.0.0.1:0", state, move |addr| {
             tx.send(addr).expect("report bound address");
         })
         .expect("daemon serves");
@@ -412,20 +399,28 @@ fn tenant_instance_occupancy_quota_draws_429() {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking-vs-event response equivalence
+// Golden transcript
 // ---------------------------------------------------------------------------
 
-/// Zeroes wall-clock and process-level fields (`seconds` in reports,
-/// `uptime_seconds` in healthz, `build_seconds` and the self-reported
-/// `peak_rss_mib` in the instances view) anywhere in the document;
-/// everything else in a response is deterministic given an identical
-/// request history.
+/// The daemon's answers to [`drive_surface`], one JSON line per
+/// exchange. Every line up to `malformed-400` was recorded from the
+/// thread-per-connection server the event loop replaced; the
+/// nested-body exchanges after it were appended with the parser's
+/// depth cap.
+const GOLDEN: &str = include_str!("golden/surface.jsonl");
+
+/// Zeroes wall-clock and host-level fields (`seconds` in reports,
+/// `uptime_seconds` and the solve pool's `threads` in healthz,
+/// `build_seconds` and the self-reported `peak_rss_mib` in the
+/// instances view) anywhere in the document; everything else in a
+/// response is deterministic given an identical request history.
 fn normalize(value: &mut Value) {
     match value {
         Value::Obj(pairs) => {
             for (key, val) in pairs.iter_mut() {
                 if key == "seconds"
                     || key == "uptime_seconds"
+                    || key == "threads"
                     || key == "build_seconds"
                     || key == "peak_rss_mib"
                 {
@@ -440,17 +435,9 @@ fn normalize(value: &mut Value) {
     }
 }
 
-/// One observed response: status, the deterministic headers, and the
-/// normalized re-serialized body bytes.
-#[derive(PartialEq, Debug)]
-struct Observation {
-    label: String,
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-fn observe(label: &str, reply: Reply) -> Observation {
+/// One observed exchange as its transcript line: the label, status,
+/// the deterministic headers, and the normalized body.
+fn observe(label: &str, reply: Reply) -> String {
     const KEPT: [&str; 5] = [
         "content-type",
         "x-instance-cache",
@@ -462,24 +449,22 @@ fn observe(label: &str, reply: Reply) -> Observation {
         .headers
         .iter()
         .filter(|(n, _)| KEPT.contains(&n.as_str()))
-        .cloned()
+        .map(|(n, v)| Value::Arr(vec![Value::Str(n.clone()), Value::Str(v.clone())]))
         .collect();
     let mut body = reply.json();
     normalize(&mut body);
-    Observation {
-        label: label.into(),
-        status: reply.status,
-        headers,
-        body: body.to_body_bytes(),
-    }
+    obj([
+        ("exchange", Value::Str(label.into())),
+        ("status", Value::Num(f64::from(reply.status))),
+        ("headers", Value::Arr(headers)),
+        ("body", body),
+    ])
+    .to_compact_string()
 }
 
-/// Replays the whole endpoint surface against `addr` — happy paths,
-/// every error class, a full anytime-session lifecycle, and the
-/// parser-level rejections — on a fresh connection per step so both
-/// server architectures see the same connection pattern.
+/// One request on a fresh connection, billed to the `eq` tenant.
 fn one_exchange(
-    out: &mut Vec<Observation>,
+    out: &mut Vec<String>,
     addr: SocketAddr,
     label: &str,
     method: &str,
@@ -491,7 +476,11 @@ fn one_exchange(
     out.push(observe(label, reply));
 }
 
-fn drive_surface(addr: SocketAddr) -> Vec<Observation> {
+/// Replays the whole endpoint surface against `addr` — happy paths,
+/// every error class, a full anytime-session lifecycle, the
+/// parser-level rejections, and a body nested past the JSON depth cap
+/// — and returns the transcript lines.
+fn drive_surface(addr: SocketAddr) -> Vec<String> {
     let mut out = Vec::new();
     macro_rules! one {
         ($label:expr, $method:expr, $path:expr, $body:expr) => {
@@ -540,10 +529,8 @@ fn drive_surface(addr: SocketAddr) -> Vec<Observation> {
 
     // Anytime lifecycle: open (2-round chunks on a k=6 greedy solve
     // cannot finish in one), resume to completion, then a stale resume.
-    // Handles are deterministic (`anyt-<key>-<serial>`), so they —
-    // and therefore the resume requests themselves — must be identical
-    // across the two servers; the byte-compare of the open response
-    // proves it.
+    // Handles are deterministic (`anyt-<key>-<serial>`), so the resume
+    // requests themselves are part of what the transcript pins.
     let open_body = r#"{
         "dataset": {"kind": "rand_mc", "c": 2, "n": 60, "seed_offset": 7},
         "substrate": "coverage",
@@ -573,7 +560,7 @@ fn drive_surface(addr: SocketAddr) -> Vec<Observation> {
     one!("anytime-stale", "POST", "/solve/anytime", Some(&stale));
 
     // Parser-level rejections, produced by the I/O layer rather than
-    // the handler — the servers must still agree byte-for-byte.
+    // the handler.
     let mut conn = TcpStream::connect(addr).unwrap();
     conn.write_all(b"POST /solve HTTP/1.1\r\nHost: t\r\nContent-Length: 999999999\r\n\r\n")
         .unwrap();
@@ -582,26 +569,47 @@ fn drive_surface(addr: SocketAddr) -> Vec<Observation> {
     conn.write_all(b"GET\r\n\r\n").unwrap();
     out.push(observe("malformed-400", read_reply(&conn)));
 
+    // 1 MB of `[` is under the body cap but nested far past the JSON
+    // depth cap: a typed 400, after which the same daemon still
+    // answers. An unbounded recursive parser overflows the worker's
+    // stack here and aborts the process.
+    let nested = "[".repeat(1_000_000);
+    one!("solve-nested-400", "POST", "/solve", Some(&nested));
+    one!("healthz-after-nested", "GET", "/healthz", None);
+
     out
 }
 
-#[test]
-fn blocking_and_event_servers_answer_byte_identically() {
-    let blocking = drive_surface(spawn_blocking(quick_state()));
-    let event = drive_surface(spawn_event(quick_state(), EventConfig::default()));
+/// The `exchange` label of a transcript line.
+fn exchange_label(line: &str) -> String {
+    let label = serde::json::parse(line).ok().and_then(|v| {
+        v.get("exchange")
+            .and_then(Value::as_str)
+            .map(str::to_string)
+    });
+    label.unwrap_or_default()
+}
 
-    assert_eq!(blocking.len(), event.len(), "same number of exchanges");
-    for (b, e) in blocking.iter().zip(event.iter()) {
-        assert_eq!(b.label, e.label);
-        assert_eq!(b.status, e.status, "{}: status diverged", b.label);
-        assert_eq!(b.headers, e.headers, "{}: headers diverged", b.label);
-        assert_eq!(
-            b.body,
-            e.body,
-            "{}: bodies diverged\nblocking: {}\nevent:    {}",
-            b.label,
-            String::from_utf8_lossy(&b.body),
-            String::from_utf8_lossy(&e.body)
-        );
-    }
+#[test]
+fn event_server_replays_the_golden_transcript() {
+    let observed = drive_surface(spawn_event(quick_state(), EventConfig::default()));
+    let observed: Vec<&str> = observed.iter().map(String::as_str).collect();
+    let golden: Vec<&str> = GOLDEN.lines().collect();
+    let Some(i) = (0..observed.len().max(golden.len())).find(|&i| observed.get(i) != golden.get(i))
+    else {
+        return;
+    };
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("surface.jsonl");
+    std::fs::write(&path, observed.join("\n") + "\n").expect("write observed transcript");
+    let end = "<end of transcript>";
+    let (want, got) = (
+        golden.get(i).unwrap_or(&end),
+        observed.get(i).unwrap_or(&end),
+    );
+    panic!(
+        "exchange {i} ({}) diverged from tests/golden/surface.jsonl\n\
+         golden:   {want}\nobserved: {got}\nobserved transcript written to {}",
+        exchange_label(golden.get(i).or(observed.get(i)).unwrap_or(&end)),
+        path.display()
+    );
 }

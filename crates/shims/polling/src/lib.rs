@@ -14,11 +14,11 @@
 //! * **poll** (portable fallback): `poll(2)` over the registered set,
 //!   rebuilt per wait. O(registered) per call, but works on every
 //!   POSIX system and exercises the exact same [`Event`] semantics —
-//!   the service's tests run the loop under both backends.
+//!   this crate's own tests run every readiness case under both
+//!   backends.
 //!
-//! Selection: [`Poller::new`] uses epoll on Linux unless the
-//! `POLLING_BACKEND=poll` environment variable forces the fallback;
-//! [`Poller::with_backend`] picks explicitly.
+//! Selection: [`Poller::new`] uses epoll on Linux and poll(2)
+//! elsewhere; [`Poller::with_backend`] picks explicitly.
 //!
 //! Both backends are **level-triggered**: a readable socket keeps
 //! reporting readable until drained, so a consumer that processes only
@@ -112,11 +112,10 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// A poller on the platform default backend (epoll on Linux),
-    /// honoring `POLLING_BACKEND=poll` as a runtime override.
+    /// A poller on the platform default backend: epoll on Linux,
+    /// poll(2) elsewhere.
     pub fn new() -> io::Result<Self> {
-        let force_poll = std::env::var("POLLING_BACKEND").is_ok_and(|v| v == "poll");
-        if cfg!(target_os = "linux") && !force_poll {
+        if cfg!(target_os = "linux") {
             Self::with_backend(Backend::Epoll)
         } else {
             Self::with_backend(Backend::Poll)

@@ -7,8 +7,19 @@
 //! covered is exactly what those artifacts need: objects with string
 //! keys, arrays, strings with the standard escapes, finite numbers,
 //! booleans, and null.
+//!
+//! The parser reads untrusted request bodies, so it is bounded: arrays
+//! and objects nest at most [`MAX_DEPTH`] levels, and a number that
+//! overflows `f64` is an error rather than an infinity. Both are
+//! ordinary [`Error`]s, never a panic or a stack overflow.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so
+/// the cap is what keeps a body of a million `[` from overflowing the
+/// parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -262,7 +273,7 @@ pub fn parse_bytes(input: &[u8]) -> Result<Value, Error> {
 pub fn parse(input: &str) -> Result<Value, Error> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error {
@@ -295,12 +306,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err_at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err_at(
+            *pos,
+            format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -326,9 +342,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii slice");
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| err_at(start, format!("invalid number '{text}'")))
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Value::Num(x)),
+        Ok(_) => Err(err_at(start, format!("number '{text}' overflows f64"))),
+        Err(_) => Err(err_at(start, format!("invalid number '{text}'"))),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
@@ -380,7 +398,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses an array at nesting level `depth` (counting itself).
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -389,7 +408,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -402,7 +421,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses an object at nesting level `depth` (counting itself).
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -415,7 +435,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -511,6 +531,33 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        let objects = |d: usize| "{\"a\":".repeat(d) + "1" + &"}".repeat(d);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for doc in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&doc).unwrap_err();
+            assert!(err.message.contains("nest deeper"), "{err}");
+        }
+        // A megabyte of `[` is rejected at the first level past the cap
+        // instead of recursing a million frames deep.
+        let err = parse_bytes(&vec![b'['; 1_000_000]).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn numbers_overflowing_f64_are_errors() {
+        for text in ["1e999", "-1e999", "[1, 1e400]", "{\"tau\": 1e999}"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.message.contains("overflows"), "{text}: {err}");
+        }
+        // Large but finite values and underflow to zero still parse.
+        assert_eq!(parse("1e308").unwrap().as_f64(), Some(1e308));
+        assert_eq!(parse("1e-999").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

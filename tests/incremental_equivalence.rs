@@ -10,7 +10,9 @@
 //!   reference = [`RisOracle::rescan_reference`];
 //! * coverage — per-item uncovered-user counters
 //!   (`incremental_counters`), reference =
-//!   [`CoverageOracle::scan_reference`];
+//!   [`CoverageOracle::unpacked_reference`], which reads the raw
+//!   element lists rather than the packed words the counters are built
+//!   from;
 //! * facility — saturation-filtered active-user scans (`active_set`),
 //!   reference = [`FacilityOracle::rescan_reference`].
 //!
@@ -24,7 +26,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use proptest::prelude::*;
 
 use fair_submod::core::prelude::*;
-use fair_submod::core::system::{SolutionState, UtilitySystem};
+use fair_submod::core::system::UtilitySystem;
 use fair_submod::coverage::CoverageOracle;
 use fair_submod::datasets::{rand_fl, rand_mc, seeds};
 use fair_submod::facility::FacilityOracle;
@@ -114,8 +116,6 @@ proptest! {
         applies in proptest::collection::vec(any::<u32>(), 0..12)
     ) {
         let oracle = shared_coverage();
-        assert_incremental_matches_reference(oracle, &oracle.scan_reference(), &applies);
-        // Transitivity double-check against the PR-2 Vec<bool> kernel.
         assert_incremental_matches_reference(oracle, &oracle.unpacked_reference(), &applies);
     }
 
@@ -161,7 +161,7 @@ fn assert_greedy_parity<A: UtilitySystem, B: UtilitySystem>(fast: &A, reference:
 #[test]
 fn greedy_runs_identically_on_fast_and_rescan_kernels() {
     let coverage = shared_coverage();
-    assert_greedy_parity(coverage, &coverage.scan_reference(), 8);
+    assert_greedy_parity(coverage, &coverage.unpacked_reference(), 8);
     let ris = shared_ris();
     assert_greedy_parity(ris, &ris.rescan_reference(), 8);
     let facility = shared_facility();
