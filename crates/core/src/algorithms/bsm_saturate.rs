@@ -23,13 +23,13 @@
 //! unspecified; we return the Saturate solution `S_g`, mirroring
 //! TSGreedy's fallback, and flag it via [`super::BsmOutcome::fell_back`].
 
-use crate::aggregate::{BsmObjective, MeanUtility};
+use crate::aggregate::BsmObjective;
 use crate::metrics::evaluate;
 use crate::system::UtilitySystem;
 
-use super::greedy::{greedy, GreedyConfig, GreedyVariant};
-use super::saturate::SaturateConfig;
-use super::BsmOutcome;
+use super::greedy::{greedy, GreedyConfig, GreedyOutcome, GreedyVariant};
+use super::saturate::{saturate, SaturateConfig, SaturateOutcome};
+use super::{utility_greedy, BsmOutcome};
 
 /// Solution-size budget for the per-`α` greedy runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,6 +83,15 @@ impl BsmSaturateConfig {
         self
     }
 
+    /// The configuration of line 1 (greedy on `f` for `OPT'_f`).
+    /// Depends on `k` and the variant only, never on `τ` or `ε`.
+    pub fn greedy_f_config(&self) -> GreedyConfig {
+        GreedyConfig {
+            variant: self.variant.clone(),
+            ..GreedyConfig::lazy(self.k)
+        }
+    }
+
     fn budget(&self, c: usize) -> usize {
         match self.size_cap {
             SizeCap::Exact => self.k,
@@ -127,14 +136,30 @@ pub fn bsm_saturate<S: UtilitySystem>(system: &S, cfg: &BsmSaturateConfig) -> Bs
 
 /// Runs BSM-Saturate and additionally reports the bisection bounds.
 ///
-/// Thin driver over [`BsmSaturateStepper`]: steps the state machine to
-/// completion, so one-shot calls and resumable sessions run the exact
-/// same code and produce bit-identical outcomes.
+/// Computes lines 1–2 and seeds a [`BsmSaturateStepper`] with them
+/// ([`BsmSaturateStepper::seeded`]), so one-shot calls and resumable
+/// sessions run the same stepper and produce bit-identical outcomes.
 pub fn bsm_saturate_detailed<S: UtilitySystem>(
     system: &S,
     cfg: &BsmSaturateConfig,
 ) -> BsmSaturateOutcome {
-    let mut stepper = BsmSaturateStepper::new(system, cfg);
+    let greedy_f = utility_greedy(system, &cfg.greedy_f_config());
+    let sat = saturate(system, &cfg.saturate);
+    bsm_saturate_seeded(system, cfg, greedy_f, sat)
+}
+
+/// Runs BSM-Saturate from precomputed lines 1–2: `greedy_f` must be
+/// greedy on `f` with [`BsmSaturateConfig::greedy_f_config`] and `sat`
+/// Saturate with `cfg.saturate`, both on `system`. Neither depends on
+/// `τ` or `ε`, so a τ-sweep computes them once (see
+/// [`BsmSaturateStepper::seeded`]).
+pub(crate) fn bsm_saturate_seeded<S: UtilitySystem>(
+    system: &S,
+    cfg: &BsmSaturateConfig,
+    greedy_f: GreedyOutcome,
+    sat: SaturateOutcome,
+) -> BsmSaturateOutcome {
+    let mut stepper = BsmSaturateStepper::seeded(system, cfg, greedy_f, sat);
     while stepper.step(system) {}
     stepper.into_outcome()
 }
@@ -167,7 +192,7 @@ pub struct BsmSaturateStepper {
     m: usize,
     phase: BsmSaturatePhase,
     saturate: Option<super::saturate::SaturateStepper>,
-    sat: Option<super::saturate::SaturateOutcome>,
+    sat: Option<SaturateOutcome>,
     opt_f_estimate: f64,
     alpha_min: f64,
     alpha_max: f64,
@@ -195,6 +220,26 @@ impl BsmSaturateStepper {
             oracle_calls: 0,
             outcome: None,
         }
+    }
+
+    /// Prepares a run whose lines 1–2 are already done: `greedy_f` is
+    /// greedy on `f` with [`BsmSaturateConfig::greedy_f_config`] and
+    /// `sat` is Saturate with `cfg.saturate`, both on `system`. The
+    /// stepper starts at the bisection and charges the stages' recorded
+    /// oracle calls, so stepping it to completion is bit-identical to a
+    /// run from [`BsmSaturateStepper::new`], `oracle_calls` included.
+    pub fn seeded<S: UtilitySystem>(
+        system: &S,
+        cfg: &BsmSaturateConfig,
+        greedy_f: GreedyOutcome,
+        sat: SaturateOutcome,
+    ) -> Self {
+        let mut stepper = Self::new(system, cfg);
+        stepper.oracle_calls = greedy_f.oracle_calls + sat.oracle_calls;
+        stepper.opt_f_estimate = greedy_f.value;
+        stepper.sat = Some(sat);
+        stepper.phase = BsmSaturatePhase::Bisect;
+        stepper
     }
 
     /// Whether the run has finished.
@@ -232,12 +277,7 @@ impl BsmSaturateStepper {
         match self.phase {
             BsmSaturatePhase::GreedyF => {
                 // Line 1: greedy on f for OPT'_f.
-                let f = MeanUtility::new(self.m);
-                let f_cfg = GreedyConfig {
-                    variant: self.cfg.variant.clone(),
-                    ..GreedyConfig::lazy(self.cfg.k)
-                };
-                let run_f = greedy(system, &f, &f_cfg);
+                let run_f = utility_greedy(system, &self.cfg.greedy_f_config());
                 self.oracle_calls += run_f.oracle_calls;
                 self.opt_f_estimate = run_f.value;
                 self.saturate = Some(super::saturate::SaturateStepper::new(

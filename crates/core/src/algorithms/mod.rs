@@ -52,8 +52,21 @@ pub mod smsc;
 pub mod streaming;
 pub mod tsgreedy;
 
+use crate::aggregate::MeanUtility;
 use crate::items::ItemId;
 use crate::metrics::Evaluation;
+use crate::system::UtilitySystem;
+
+use self::greedy::{GreedyConfig, GreedyOutcome};
+
+/// Line 1 of both BSM schemes (Algorithms 1 and 2): greedy on the
+/// utility `f`, whose value is the estimate `OPT'_f`. A pure function
+/// of `system` and `cfg`, so its outcome can be computed once and
+/// reused across `τ` (see [`tsgreedy::TsGreedyStepper::seeded`] and
+/// [`bsm_saturate::BsmSaturateStepper::seeded`]).
+pub(crate) fn utility_greedy<S: UtilitySystem>(system: &S, cfg: &GreedyConfig) -> GreedyOutcome {
+    greedy::greedy(system, &MeanUtility::new(system.num_users()), cfg)
+}
 
 /// Typed rejection of an algorithm configuration.
 ///

@@ -6,12 +6,20 @@
 //! solver, collects `(f, g)` outcomes, extracts the non-dominated
 //! frontier, and computes the dominated-area (hypervolume) indicator so
 //! that solvers can be compared by a single scalar.
+//!
+//! Lines 1–2 of both BSM schemes (greedy on `f`, Saturate on `g`) do not
+//! depend on `τ`, so the sweep computes them once and seeds every point's
+//! stepper with them; each point is bit-identical to a standalone solve
+//! at its `τ`.
 
 use crate::items::ItemId;
 use crate::system::UtilitySystem;
 
-use super::bsm_saturate::{bsm_saturate, BsmSaturateConfig};
-use super::tsgreedy::{bsm_tsgreedy, TsGreedyConfig};
+use super::bsm_saturate::{bsm_saturate_seeded, BsmSaturateConfig};
+use super::greedy::{GreedyConfig, GreedyVariant};
+use super::saturate::{saturate, SaturateConfig};
+use super::tsgreedy::{bsm_tsgreedy_seeded, TsGreedyConfig};
+use super::utility_greedy;
 
 /// Which BSM solver drives the sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,15 +39,26 @@ pub struct FrontierConfig {
     pub taus: Vec<f64>,
     /// Solver choice.
     pub solver: FrontierSolver,
+    /// BSM-Saturate's error parameter `ε ∈ (0, 1)` (ignored by
+    /// TSGreedy).
+    pub epsilon: f64,
+    /// Greedy evaluation strategy of every stage.
+    pub variant: GreedyVariant,
+    /// Saturate configuration for `OPT'_g` / `S_g`.
+    pub saturate: SaturateConfig,
 }
 
 impl FrontierConfig {
-    /// Default grid τ ∈ {0.0, 0.1, …, 1.0} with BSM-Saturate.
+    /// Default grid τ ∈ {0.0, 0.1, …, 1.0} with BSM-Saturate and the
+    /// paper's solver defaults (`ε = 0.05`, lazy-forward greedy).
     pub fn new(k: usize) -> Self {
         Self {
             k,
             taus: (0..=10).map(|i| i as f64 / 10.0).collect(),
             solver: FrontierSolver::BsmSaturate,
+            epsilon: 0.05,
+            variant: GreedyVariant::Lazy,
+            saturate: SaturateConfig::new(k),
         }
     }
 }
@@ -79,29 +98,51 @@ impl Frontier {
 }
 
 /// Sweeps τ and extracts the utility–fairness Pareto frontier.
+///
+/// # Panics
+/// Panics if [`FrontierSolver::BsmSaturate`] runs with `ε ∉ (0, 1)`
+/// (see [`BsmSaturateConfig::with_epsilon`]).
 pub fn pareto_frontier<S: UtilitySystem>(system: &S, cfg: &FrontierConfig) -> Frontier {
     let mut taus: Vec<f64> = cfg.taus.iter().map(|t| t.clamp(0.0, 1.0)).collect();
     taus.sort_by(|a, b| a.partial_cmp(b).unwrap());
     taus.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
+    // Lines 1–2 of both schemes, once per sweep.
+    let greedy_f = utility_greedy(
+        system,
+        &GreedyConfig {
+            variant: cfg.variant.clone(),
+            ..GreedyConfig::lazy(cfg.k)
+        },
+    );
+    let sat = saturate(system, &cfg.saturate);
+
     let mut points: Vec<FrontierPoint> = taus
         .into_iter()
         .map(|tau| {
-            let (items, f, g) = match cfg.solver {
+            let out = match cfg.solver {
                 FrontierSolver::TsGreedy => {
-                    let out = bsm_tsgreedy(system, &TsGreedyConfig::new(cfg.k, tau));
-                    (out.items, out.eval.f, out.eval.g)
+                    let ts_cfg = TsGreedyConfig {
+                        variant: cfg.variant.clone(),
+                        saturate: cfg.saturate.clone(),
+                        ..TsGreedyConfig::new(cfg.k, tau)
+                    };
+                    bsm_tsgreedy_seeded(system, &ts_cfg, greedy_f.clone(), sat.clone()).bsm
                 }
                 FrontierSolver::BsmSaturate => {
-                    let out = bsm_saturate(system, &BsmSaturateConfig::new(cfg.k, tau));
-                    (out.items, out.eval.f, out.eval.g)
+                    let bs_cfg = BsmSaturateConfig {
+                        variant: cfg.variant.clone(),
+                        saturate: cfg.saturate.clone(),
+                        ..BsmSaturateConfig::new(cfg.k, tau).with_epsilon(cfg.epsilon)
+                    };
+                    bsm_saturate_seeded(system, &bs_cfg, greedy_f.clone(), sat.clone()).bsm
                 }
             };
             FrontierPoint {
                 tau,
-                f,
-                g,
-                items,
+                f: out.eval.f,
+                g: out.eval.g,
+                items: out.items,
                 on_frontier: true,
             }
         })
@@ -178,9 +219,9 @@ mod tests {
     fn frontier_on_figure1_has_the_three_regimes() {
         let sys = toy::figure1();
         let cfg = FrontierConfig {
-            k: 2,
             taus: vec![0.0, 0.3, 0.8],
             solver: FrontierSolver::BsmSaturate,
+            ..FrontierConfig::new(2)
         };
         let frontier = pareto_frontier(&sys, &cfg);
         assert_eq!(frontier.points.len(), 3);
@@ -230,9 +271,9 @@ mod tests {
     fn tsgreedy_solver_works_too() {
         let sys = toy::figure1();
         let cfg = FrontierConfig {
-            k: 2,
             taus: vec![0.1, 0.9],
             solver: FrontierSolver::TsGreedy,
+            ..FrontierConfig::new(2)
         };
         let frontier = pareto_frontier(&sys, &cfg);
         assert_eq!(frontier.points.len(), 2);

@@ -17,9 +17,9 @@ use crate::aggregate::TruncatedMean;
 use crate::metrics::evaluate_state;
 use crate::system::{SolutionState, UtilitySystem};
 
-use super::greedy::{greedy, GreedyConfig, GreedyVariant};
-use super::saturate::SaturateConfig;
-use super::BsmOutcome;
+use super::greedy::{GreedyConfig, GreedyOutcome, GreedyVariant};
+use super::saturate::{saturate, SaturateConfig, SaturateOutcome};
+use super::{utility_greedy, BsmOutcome};
 
 /// Configuration for [`bsm_tsgreedy`].
 #[derive(Clone, Debug)]
@@ -44,6 +44,16 @@ impl TsGreedyConfig {
             tau,
             variant: GreedyVariant::Lazy,
             saturate: SaturateConfig::new(k),
+        }
+    }
+
+    /// The configuration of line 1 (greedy on `f`), which the top-up
+    /// also fills with. Depends on `k` and the variant only, never on
+    /// `τ`.
+    pub fn greedy_f_config(&self) -> GreedyConfig {
+        GreedyConfig {
+            variant: self.variant.clone(),
+            ..GreedyConfig::lazy(self.k)
         }
     }
 }
@@ -78,14 +88,29 @@ pub fn bsm_tsgreedy<S: UtilitySystem>(system: &S, cfg: &TsGreedyConfig) -> BsmOu
 
 /// Runs BSM-TSGreedy and additionally reports stage sizes.
 ///
-/// Thin driver over [`TsGreedyStepper`]: steps the state machine to
-/// completion, so one-shot calls and resumable sessions run the exact
-/// same code and produce bit-identical outcomes.
+/// Computes lines 1–2 and seeds a [`TsGreedyStepper`] with them
+/// ([`TsGreedyStepper::seeded`]), so one-shot calls and resumable
+/// sessions run the same stepper and produce bit-identical outcomes.
 pub fn bsm_tsgreedy_detailed<S: UtilitySystem>(
     system: &S,
     cfg: &TsGreedyConfig,
 ) -> TsGreedyOutcome {
-    let mut stepper = TsGreedyStepper::new(system, cfg);
+    let greedy_f = utility_greedy(system, &cfg.greedy_f_config());
+    let sat = saturate(system, &cfg.saturate);
+    bsm_tsgreedy_seeded(system, cfg, greedy_f, sat)
+}
+
+/// Runs BSM-TSGreedy from precomputed lines 1–2: `greedy_f` must be
+/// greedy on `f` with [`TsGreedyConfig::greedy_f_config`] and `sat`
+/// Saturate with `cfg.saturate`, both on `system`. Neither depends on
+/// `τ`, so a τ-sweep computes them once (see [`TsGreedyStepper::seeded`]).
+pub(crate) fn bsm_tsgreedy_seeded<S: UtilitySystem>(
+    system: &S,
+    cfg: &TsGreedyConfig,
+    greedy_f: GreedyOutcome,
+    sat: SaturateOutcome,
+) -> TsGreedyOutcome {
+    let mut stepper = TsGreedyStepper::seeded(system, cfg, greedy_f, sat);
     while stepper.step(system) {}
     stepper.into_outcome()
 }
@@ -118,9 +143,9 @@ pub struct TsGreedyStepper<I> {
     sizes: Vec<usize>,
     m: usize,
     phase: TsGreedyPhase,
-    run_f: Option<super::greedy::GreedyOutcome>,
+    run_f: Option<GreedyOutcome>,
     saturate_stepper: Option<super::saturate::SaturateStepper>,
-    sat: Option<super::saturate::SaturateOutcome>,
+    sat: Option<SaturateOutcome>,
     cover: Option<super::greedy::GreedyEngine<TruncatedMean>>,
     parts: Option<crate::system::StateParts<I>>,
     oracle_calls: u64,
@@ -147,6 +172,25 @@ impl<I> TsGreedyStepper<I> {
             stage1_len: 0,
             outcome: None,
         }
+    }
+
+    /// Prepares a run whose lines 1–2 are already done: `greedy_f` is
+    /// greedy on `f` with [`TsGreedyConfig::greedy_f_config`] and `sat`
+    /// is Saturate with `cfg.saturate`, both on `system`. The stepper
+    /// starts at stage 1 and charges the stages' recorded oracle calls,
+    /// so stepping it to completion is bit-identical to a run from
+    /// [`TsGreedyStepper::new`], `oracle_calls` included.
+    pub fn seeded<S: UtilitySystem<Inner = I>>(
+        system: &S,
+        cfg: &TsGreedyConfig,
+        greedy_f: GreedyOutcome,
+        sat: SaturateOutcome,
+    ) -> Self {
+        let mut stepper = Self::new(system, cfg);
+        stepper.oracle_calls = greedy_f.oracle_calls;
+        stepper.run_f = Some(greedy_f);
+        stepper.begin_stage1(system, sat);
+        stepper
     }
 
     /// Whether the run has finished.
@@ -219,18 +263,34 @@ impl<I> TsGreedyStepper<I> {
         crate::aggregate::MeanUtility::new(self.m)
     }
 
+    /// Settles line 2's outcome and sets up lines 3–7: a greedy cover
+    /// on `g'_τ` (threshold `τ·OPT'_g`); a vacuous threshold (`τ = 0`
+    /// or `OPT'_g = 0`) makes stage 1 a no-op.
+    fn begin_stage1<S: UtilitySystem<Inner = I>>(&mut self, system: &S, sat: SaturateOutcome) {
+        self.oracle_calls += sat.oracle_calls;
+        let threshold = self.cfg.tau * sat.opt_g_estimate;
+        self.sat = Some(sat);
+        let mut state = SolutionState::new(system);
+        if threshold > 0.0 {
+            let g_tau = TruncatedMean::uniform(&self.sizes, threshold);
+            let cover_cfg = super::cover::cover_config(1.0, self.cfg.k, self.cfg.variant.clone());
+            self.cover = Some(super::greedy::GreedyEngine::new(
+                &mut state, g_tau, cover_cfg,
+            ));
+            self.phase = TsGreedyPhase::Stage1;
+        } else {
+            self.phase = TsGreedyPhase::TopUp;
+        }
+        self.parts = Some(state.into_parts());
+    }
+
     /// Performs one unit of work (an estimate stage, one stage-1 cover
     /// round, or the top-up). Returns `true` while more work remains.
     pub fn step<S: UtilitySystem<Inner = I>>(&mut self, system: &S) -> bool {
         match self.phase {
             TsGreedyPhase::GreedyF => {
                 // Line 1: greedy on f.
-                let f = self.stage1_greedy_f();
-                let f_cfg = GreedyConfig {
-                    variant: self.cfg.variant.clone(),
-                    ..GreedyConfig::lazy(self.cfg.k)
-                };
-                let run_f = greedy(system, &f, &f_cfg);
+                let run_f = utility_greedy(system, &self.cfg.greedy_f_config());
                 self.oracle_calls += run_f.oracle_calls;
                 self.run_f = Some(run_f);
                 self.saturate_stepper = Some(super::saturate::SaturateStepper::new(
@@ -248,25 +308,7 @@ impl<I> TsGreedyStepper<I> {
                         .take()
                         .expect("checked above")
                         .into_outcome();
-                    self.oracle_calls += sat.oracle_calls;
-                    // Lines 3–7: greedy cover on g'_τ (threshold
-                    // τ·OPT'_g); a vacuous threshold (τ = 0 or
-                    // OPT'_g = 0) makes stage 1 a no-op.
-                    let threshold = self.cfg.tau * sat.opt_g_estimate;
-                    self.sat = Some(sat);
-                    let mut state = SolutionState::new(system);
-                    if threshold > 0.0 {
-                        let g_tau = TruncatedMean::uniform(&self.sizes, threshold);
-                        let cover_cfg =
-                            super::cover::cover_config(1.0, self.cfg.k, self.cfg.variant.clone());
-                        self.cover = Some(super::greedy::GreedyEngine::new(
-                            &mut state, g_tau, cover_cfg,
-                        ));
-                        self.phase = TsGreedyPhase::Stage1;
-                    } else {
-                        self.phase = TsGreedyPhase::TopUp;
-                    }
-                    self.parts = Some(state.into_parts());
+                    self.begin_stage1(system, sat);
                 }
             }
             TsGreedyPhase::Stage1 => {
@@ -315,11 +357,7 @@ impl<I> TsGreedyStepper<I> {
                 // for f to honor |S'| = k.
                 if state.len() < self.cfg.k {
                     let f = self.stage1_greedy_f();
-                    let fill_cfg = GreedyConfig {
-                        variant: self.cfg.variant.clone(),
-                        ..GreedyConfig::lazy(self.cfg.k)
-                    };
-                    let _ = super::greedy::greedy_into(&mut state, &f, &fill_cfg);
+                    let _ = super::greedy::greedy_into(&mut state, &f, &self.cfg.greedy_f_config());
                 }
                 // Zero-gain padding: the paper's greedy runs exactly k
                 // argmax rounds, so |S'| = k always; padding with useless
@@ -372,6 +410,7 @@ impl<I> TsGreedyStepper<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::greedy::greedy;
     use crate::system::SystemExt;
     use crate::toy;
 

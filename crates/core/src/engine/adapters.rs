@@ -11,10 +11,16 @@
 //! `oracle_calls` is reported wherever the underlying routine accounts
 //! for it; adapters whose routine does not expose a call count
 //! (`Random`, `TopSingletons`, `ParetoSweep`) report 0.
+//!
+//! The adapters that run the τ-independent BSM stages (`Saturate`,
+//! `BSM-TSGreedy`, `BSM-Saturate`, and `LocalSearch`'s TSGreedy start)
+//! compute them first and seed the algorithm's stepper with them,
+//! taking them from the system's [`super::StageMemo`] when it carries
+//! one; the report is bit-identical either way.
 
 use crate::aggregate::MeanUtility;
 use crate::algorithms::baselines::{random_subset, top_singletons};
-use crate::algorithms::bsm_saturate::{bsm_saturate_detailed, BsmSaturateConfig};
+use crate::algorithms::bsm_saturate::bsm_saturate_seeded;
 use crate::algorithms::distributed::{greedi, GreediConfig};
 use crate::algorithms::exact::{branch_and_bound_bsm, brute_force_bsm, ExactConfig};
 use crate::algorithms::greedy::{greedy, GreedyConfig};
@@ -23,20 +29,21 @@ use crate::algorithms::local_search::{local_search_refine, LocalSearchConfig};
 use crate::algorithms::mwu::{mwu_robust, MwuConfig};
 use crate::algorithms::nonmonotone::{random_greedy, RandomGreedyConfig};
 use crate::algorithms::pareto::{pareto_frontier, FrontierConfig, FrontierSolver};
-use crate::algorithms::saturate::{saturate, SaturateConfig};
+use crate::algorithms::saturate::SaturateConfig;
 use crate::algorithms::smsc::{smsc, SmscConfig};
 use crate::algorithms::streaming::{sieve_streaming, SieveConfig};
-use crate::algorithms::tsgreedy::{bsm_tsgreedy_detailed, TsGreedyConfig};
+use crate::algorithms::tsgreedy::{bsm_tsgreedy_seeded, TsGreedyOutcome};
 use crate::items::binomial;
 use crate::metrics::evaluate;
 
 use super::erased::{DynUtilitySystem, ErasedSystem};
+use super::memo::{greedy_f_stage, saturate_stage};
 use super::params::ScenarioParams;
 use super::registry::{Capabilities, Solver};
 use super::report::{SolveReport, SolverError};
 use super::session::{
-    saturate_config_for, BsmSaturateSession, GreediSession, GreedySession, SaturateSession,
-    SieveSession, SolveSession, TsGreedySession,
+    bsm_saturate_config_for, saturate_config_for, ts_greedy_config_for, BsmSaturateSession,
+    GreediSession, GreedySession, SaturateSession, SieveSession, SolveSession, TsGreedySession,
 };
 
 /// The default suite: one boxed adapter per `core::algorithms` entry
@@ -97,6 +104,15 @@ fn invalid_config(solver: &str, err: crate::algorithms::InvalidConfig) -> Solver
 
 fn saturate_config(params: &ScenarioParams) -> SaturateConfig {
     saturate_config_for(params)
+}
+
+/// BSM-TSGreedy from seeded stages (shared by `BSM-TSGreedy` and
+/// `LocalSearch`). `params.tau` must already be validated.
+fn ts_greedy_run(system: &dyn DynUtilitySystem, params: &ScenarioParams) -> TsGreedyOutcome {
+    let cfg = ts_greedy_config_for(params);
+    let greedy_f = greedy_f_stage(system, &cfg.greedy_f_config());
+    let sat = saturate_stage(system, &cfg.saturate);
+    bsm_tsgreedy_seeded(&ErasedSystem(system), &cfg, greedy_f, sat)
 }
 
 fn greedy_config(params: &ScenarioParams) -> GreedyConfig {
@@ -194,7 +210,7 @@ impl Solver for SaturateSolver {
         params: &ScenarioParams,
     ) -> Result<SolveReport, SolverError> {
         let erased = ErasedSystem(system);
-        let run = saturate(&erased, &saturate_config(params));
+        let run = saturate_stage(system, &saturate_config(params));
         let eval = evaluate(&erased, &run.items);
         let mut report = SolveReport::from_eval(
             self.name(),
@@ -290,11 +306,7 @@ impl Solver for TsGreedySolver {
         params: &ScenarioParams,
     ) -> Result<SolveReport, SolverError> {
         check_tau(self.name(), params.tau)?;
-        let erased = ErasedSystem(system);
-        let mut cfg = TsGreedyConfig::new(params.k, params.tau);
-        cfg.variant = params.variant.clone();
-        cfg.saturate = saturate_config(params);
-        let run = bsm_tsgreedy_detailed(&erased, &cfg);
+        let run = ts_greedy_run(system, params);
         let objective = run.bsm.eval.f;
         let mut report = SolveReport::from_eval(
             self.name(),
@@ -346,11 +358,10 @@ impl Solver for BsmSaturateSolver {
     ) -> Result<SolveReport, SolverError> {
         check_tau(self.name(), params.tau)?;
         check_epsilon(self.name(), params.epsilon)?;
-        let erased = ErasedSystem(system);
-        let mut cfg = BsmSaturateConfig::new(params.k, params.tau).with_epsilon(params.epsilon);
-        cfg.variant = params.variant.clone();
-        cfg.saturate = saturate_config(params);
-        let run = bsm_saturate_detailed(&erased, &cfg);
+        let cfg = bsm_saturate_config_for(params);
+        let greedy_f = greedy_f_stage(system, &cfg.greedy_f_config());
+        let sat = saturate_stage(system, &cfg.saturate);
+        let run = bsm_saturate_seeded(&ErasedSystem(system), &cfg, greedy_f, sat);
         let objective = run.bsm.eval.f;
         let mut report = SolveReport::from_eval(
             self.name(),
@@ -714,10 +725,7 @@ impl Solver for LocalSearchSolver {
     ) -> Result<SolveReport, SolverError> {
         check_tau(self.name(), params.tau)?;
         let erased = ErasedSystem(system);
-        let mut cfg = TsGreedyConfig::new(params.k, params.tau);
-        cfg.variant = params.variant.clone();
-        cfg.saturate = saturate_config(params);
-        let start = bsm_tsgreedy_detailed(&erased, &cfg).bsm;
+        let start = ts_greedy_run(system, params).bsm;
         let g_floor = params.tau * start.opt_g_estimate - 1e-9;
         let constraint = |items: &[crate::items::ItemId]| evaluate(&erased, items).g >= g_floor;
         let f = MeanUtility::new(system.dyn_num_users());
@@ -829,8 +837,9 @@ impl Solver for MwuSolver {
     }
 }
 
-/// τ-sweep Pareto frontier (BSM-Saturate driven): returns the knee
-/// point (maximum `f + g` on the frontier) and reports the sweep's
+/// τ-sweep Pareto frontier (BSM-Saturate driven, with the request's
+/// `epsilon`, `variant` and Saturate path): returns the knee point
+/// (maximum `f + g` on the frontier) and reports the sweep's
 /// hypervolume as the objective.
 pub struct ParetoSweepSolver;
 
@@ -854,11 +863,15 @@ impl Solver for ParetoSweepSolver {
                 message: "sweep_taus must be non-empty".into(),
             });
         }
+        check_epsilon(self.name(), params.epsilon)?;
         let erased = ErasedSystem(system);
         let cfg = FrontierConfig {
             k: params.k,
             taus: params.sweep_taus.clone(),
             solver: FrontierSolver::BsmSaturate,
+            epsilon: params.epsilon,
+            variant: params.variant.clone(),
+            saturate: saturate_config(params),
         };
         let frontier = pareto_frontier(&erased, &cfg);
         let knee = frontier
@@ -963,7 +976,7 @@ mod tests {
             );
         }
         let bad_eps = ScenarioParams::new(2, 0.5).with_epsilon(1.0);
-        for name in ["BSM-Saturate", "SieveStreaming"] {
+        for name in ["BSM-Saturate", "SieveStreaming", "ParetoSweep"] {
             assert!(registry.solve(name, &sys, &bad_eps).is_err(), "{name}");
             assert!(
                 registry.open_session(name, &sys, &bad_eps).is_err(),
@@ -993,6 +1006,54 @@ mod tests {
         assert!(report.objective > 0.0);
         assert!(report.items.len() <= 2);
         assert!(report.notes.iter().any(|(l, _)| l == "hypervolume"));
+    }
+
+    /// ParetoSweep runs its points with the request's `epsilon` (and
+    /// variant and Saturate path), as the BSM-Saturate adapter does: at
+    /// ε = 0.2 it reports the knee and hypervolume of BSM-Saturate
+    /// solves at ε = 0.2 over the same τ grid.
+    #[test]
+    fn pareto_sweep_runs_at_the_requested_epsilon() {
+        use crate::algorithms::pareto::{hypervolume, pareto_filter};
+        let sys = toy::random_coverage(30, 90, 3, 0.08, 2);
+        let registry = SolverRegistry::default();
+        let taus = vec![0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
+        let knee_of_solves = |epsilon: f64| {
+            let reports: Vec<SolveReport> = taus
+                .iter()
+                .map(|&tau| {
+                    let params = ScenarioParams::new(4, tau).with_epsilon(epsilon);
+                    registry.solve("BSM-Saturate", &sys, &params).unwrap()
+                })
+                .collect();
+            let flags = pareto_filter(&reports.iter().map(|r| (r.f, r.g)).collect::<Vec<_>>());
+            let on: Vec<&SolveReport> = reports
+                .iter()
+                .zip(flags)
+                .filter_map(|(r, on)| on.then_some(r))
+                .collect();
+            let hv = hypervolume(&on.iter().map(|r| (r.f, r.g)).collect::<Vec<_>>());
+            let knee = on
+                .iter()
+                .max_by(|a, b| (a.f + a.g).partial_cmp(&(b.f + b.g)).unwrap())
+                .unwrap();
+            (knee.items.clone(), knee.tau, hv)
+        };
+        let expected = knee_of_solves(0.2);
+        assert_ne!(expected, knee_of_solves(0.05), "ε must matter here");
+
+        let mut params = ScenarioParams::new(4, 0.5).with_epsilon(0.2);
+        params.sweep_taus = taus.clone();
+        let report = registry.solve("ParetoSweep", &sys, &params).unwrap();
+        let knee_tau = report
+            .notes
+            .iter()
+            .find(|(l, _)| l == "knee_tau")
+            .unwrap()
+            .1;
+        assert_eq!(report.items, expected.0);
+        assert_eq!(knee_tau, expected.1);
+        assert_eq!(report.objective.to_bits(), expected.2.to_bits());
     }
 
     #[test]

@@ -16,6 +16,8 @@ use std::any::Any;
 use crate::items::ItemId;
 use crate::system::UtilitySystem;
 
+use super::memo::StageMemo;
+
 /// A boxed, clonable incremental-evaluation state.
 pub struct DynState(Box<dyn AnyCloneState>);
 
@@ -103,6 +105,14 @@ pub trait DynUtilitySystem: Send + Sync {
     /// Number of groups `c`.
     fn dyn_num_groups(&self) -> usize {
         self.dyn_group_sizes().len()
+    }
+
+    /// The memo this system keeps its τ-independent BSM stages in, if
+    /// any (see [`crate::engine::MemoSystem`]). Solvers that run those
+    /// stages read it; a memo only changes how fast they run, never
+    /// what they report. Plain systems carry none.
+    fn dyn_stage_memo(&self) -> Option<&StageMemo> {
+        None
     }
 }
 

@@ -26,6 +26,10 @@
 //!   Sieve-Streaming step natively ([`Capabilities::resumable`]), and
 //!   greedy sessions serve an entire budget axis from one warm run via
 //!   exact prefix extraction.
+//! * **Stage reuse** ([`StageMemo`], [`MemoSystem`]) — compute-once
+//!   slots for the τ-independent stages of the BSM schemes, carried by
+//!   the system so many `(k, τ)` queries against one resident instance
+//!   pay for greedy on `f` and Saturate on `g` once.
 //! * **The sharded tier** ([`sharded`]) — [`ShardedInstance`] holds an
 //!   instance as per-shard oracles plus a merge builder (no full-ground-
 //!   set oracle ever exists) and solves it with two-round GreeDi,
@@ -46,6 +50,7 @@
 
 pub mod adapters;
 mod erased;
+mod memo;
 mod params;
 mod registry;
 mod report;
@@ -53,6 +58,7 @@ pub mod session;
 pub mod sharded;
 
 pub use erased::{DynState, DynUtilitySystem, ErasedSystem};
+pub use memo::{MemoSystem, StageMemo};
 pub use params::ScenarioParams;
 pub use registry::{Capabilities, Solver, SolverRegistry};
 pub use report::{SolveReport, SolverError};

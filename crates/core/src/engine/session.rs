@@ -355,6 +355,27 @@ pub(crate) fn saturate_config_for(params: &ScenarioParams) -> SaturateConfig {
     cfg
 }
 
+/// Builds the BSM-TSGreedy configuration (shared by session and
+/// one-shot solver). `params.tau` must already be validated.
+pub(crate) fn ts_greedy_config_for(params: &ScenarioParams) -> TsGreedyConfig {
+    TsGreedyConfig {
+        variant: params.variant.clone(),
+        saturate: saturate_config_for(params),
+        ..TsGreedyConfig::new(params.k, params.tau)
+    }
+}
+
+/// Builds the BSM-Saturate configuration (shared by session and
+/// one-shot solver). `params.tau` and `params.epsilon` must already be
+/// validated.
+pub(crate) fn bsm_saturate_config_for(params: &ScenarioParams) -> BsmSaturateConfig {
+    BsmSaturateConfig {
+        variant: params.variant.clone(),
+        saturate: saturate_config_for(params),
+        ..BsmSaturateConfig::new(params.k, params.tau).with_epsilon(params.epsilon)
+    }
+}
+
 impl SolveSession for SaturateSession {
     fn solver(&self) -> &'static str {
         "Saturate"
@@ -453,13 +474,10 @@ impl BsmSaturateSession {
     /// (parameters must already be validated).
     pub fn open(system: &dyn DynUtilitySystem, params: &ScenarioParams) -> Self {
         let erased = ErasedSystem(system);
-        let mut cfg = BsmSaturateConfig::new(params.k, params.tau).with_epsilon(params.epsilon);
-        cfg.variant = params.variant.clone();
-        cfg.saturate = saturate_config_for(params);
         Self {
             tau: params.tau,
             k: params.k,
-            stepper: BsmSaturateStepper::new(&erased, &cfg),
+            stepper: BsmSaturateStepper::new(&erased, &bsm_saturate_config_for(params)),
         }
     }
 }
@@ -565,14 +583,11 @@ impl TsGreedySession {
     /// (parameters must already be validated).
     pub fn open(system: &dyn DynUtilitySystem, params: &ScenarioParams) -> Self {
         let erased = ErasedSystem(system);
-        let mut cfg = TsGreedyConfig::new(params.k, params.tau);
-        cfg.variant = params.variant.clone();
-        cfg.saturate = saturate_config_for(params);
         Self {
             tau: params.tau,
             k: params.k,
             steps: 0,
-            stepper: TsGreedyStepper::new(&erased, &cfg),
+            stepper: TsGreedyStepper::new(&erased, &ts_greedy_config_for(params)),
         }
     }
 }

@@ -10,6 +10,12 @@
 //! combination once, identified by the FNV-1a hash of its canonical
 //! JSON ([`canonical_key`]), and answers every later request against
 //! the shared, immutable [`Instance`].
+//!
+//! Each instance also owns a [`StageMemo`]: the τ-independent stages of
+//! the BSM schemes (greedy on `f`, Saturate on `g`) are computed once
+//! per stage config and reused by every later `/solve` and `/batch` on
+//! the instance. The memo counts in [`Instance::approx_bytes`] and is
+//! dropped with the instance.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +25,9 @@ use serde::ToJson;
 
 use fair_submod_bench::args::ExpArgs;
 use fair_submod_bench::scenario::{BuiltDataset, DatasetRecipe, SubstrateSpec};
-use fair_submod_core::engine::{DynUtilitySystem, ErasedSystem, SolverError};
+use fair_submod_core::engine::{
+    DynUtilitySystem, ErasedSystem, MemoSystem, SolverError, StageMemo,
+};
 use fair_submod_core::items::ItemId;
 use fair_submod_core::metrics::{evaluate, Evaluation};
 use fair_submod_coverage::CoverageOracle;
@@ -205,6 +213,7 @@ pub struct Instance {
     pub build_seconds: f64,
     dataset: Arc<BuiltDataset>,
     oracle: InstanceOracle,
+    memo: StageMemo,
     mc_runs: usize,
     seed: u64,
 }
@@ -255,6 +264,7 @@ impl Instance {
             build_seconds: start.elapsed().as_secs_f64(),
             dataset: Arc::new(dataset),
             oracle,
+            memo: StageMemo::new(),
             mc_runs: cfg.mc_runs,
             seed,
         }
@@ -306,6 +316,7 @@ impl Instance {
             build_seconds: start.elapsed().as_secs_f64(),
             dataset: Arc::clone(&central.dataset),
             oracle: InstanceOracle::Shard(system),
+            memo: StageMemo::new(),
             mc_runs: central.mc_runs,
             seed: central.seed,
         })
@@ -328,6 +339,14 @@ impl Instance {
             InstanceOracle::Facility(o) => o,
             InstanceOracle::Shard(system) => system.as_ref(),
         }
+    }
+
+    /// The oracle paired with the instance's stage memo: what `/solve`
+    /// and `/batch` solve on, so repeated `(k, τ)` queries share the
+    /// τ-independent BSM stages. Reports are bit-identical to solving on
+    /// [`Instance::system`].
+    pub(crate) fn memo_system(&self) -> MemoSystem<'_> {
+        MemoSystem::new(self.system(), &self.memo)
     }
 
     /// Re-evaluates a solution the way the experiment harness does:
@@ -363,11 +382,12 @@ impl Instance {
         }
     }
 
-    /// Advisory resident footprint of the instance's oracle, in bytes —
-    /// what the byte-budgeted store evicts against (DESIGN.md §11).
-    /// Purely advisory: 0 means the substrate does not report one.
+    /// Advisory resident footprint of the instance's oracle plus its
+    /// stage memo, in bytes — what the byte-budgeted store evicts
+    /// against (DESIGN.md §11). Purely advisory: 0 means the substrate
+    /// does not report one and the memo is empty.
     pub fn approx_bytes(&self) -> usize {
-        self.system().dyn_approx_bytes()
+        self.system().dyn_approx_bytes() + self.memo.approx_bytes()
     }
 
     /// The `/instances` summary row for this instance.

@@ -448,7 +448,10 @@ impl ServiceState {
         }
         let instance = entry.built().expect("instance_entry builds");
         self.solves.fetch_add(1, Ordering::Relaxed);
-        match self.registry.solve(&solver, instance.system(), &params) {
+        match self
+            .registry
+            .solve(&solver, &instance.memo_system(), &params)
+        {
             Ok(mut report) => {
                 // Re-evaluate the solution the way the harness does
                 // (Monte-Carlo for influence, oracle-exact otherwise).
@@ -688,7 +691,7 @@ impl ServiceState {
         let instance = entry.built().expect("instance_entry builds");
         self.solves.fetch_add(num_cells as u64, Ordering::Relaxed);
         let results = match run_suite(
-            instance.system(),
+            &instance.memo_system(),
             &|items| instance.evaluate_capped(items, job.mc_runs_cap),
             &self.registry,
             &grid,

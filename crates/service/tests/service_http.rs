@@ -438,3 +438,51 @@ fn sharded_solves_round_trip_over_http() {
     assert_eq!(report.get("f"), one_shot.get("f"));
     assert_eq!(report.get("oracle_calls"), one_shot.get("oracle_calls"));
 }
+
+fn bsm_saturate_body(tau: f64) -> String {
+    format!(
+        r#"{{
+            "dataset": {{"kind": "rand_mc", "c": 2, "n": 60, "seed_offset": 7}},
+            "substrate": "coverage",
+            "solver": "BSM-Saturate",
+            "params": {{"k": 4, "tau": {tau}}}
+        }}"#
+    )
+}
+
+fn header_names(reply: &Reply) -> Vec<&str> {
+    reply
+        .headers
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect()
+}
+
+/// Stage reuse is invisible on the wire: a τ = 0.8 solve served after a
+/// τ = 0.2 solve filled the instance's stage memo returns the same body
+/// (apart from `seconds`) and the same header names as the same solve
+/// on a fresh daemon — no memo-hit note, field or header.
+#[test]
+fn memo_fed_solves_are_byte_identical_to_fresh_ones() {
+    let warm_addr = spawn_daemon();
+    let mut warm = TcpStream::connect(warm_addr).unwrap();
+    let first = request(&mut warm, "POST", "/solve", Some(&bsm_saturate_body(0.2)));
+    assert_eq!(first.status, 200);
+    let second = request(&mut warm, "POST", "/solve", Some(&bsm_saturate_body(0.8)));
+    assert_eq!(second.status, 200);
+    assert_eq!(second.header("X-Instance-Cache"), Some("hit"));
+
+    let fresh_addr = spawn_daemon();
+    let mut fresh = TcpStream::connect(fresh_addr).unwrap();
+    let alone = request(&mut fresh, "POST", "/solve", Some(&bsm_saturate_body(0.8)));
+    assert_eq!(alone.status, 200);
+    assert_eq!(alone.header("X-Instance-Cache"), Some("miss"));
+
+    assert_eq!(sans_seconds(&second.body), sans_seconds(&alone.body));
+    assert_eq!(header_names(&second), header_names(&alone));
+    assert_ne!(
+        sans_seconds(&first.body),
+        sans_seconds(&second.body),
+        "the two τ must give different reports"
+    );
+}

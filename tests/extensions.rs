@@ -107,9 +107,9 @@ fn pareto_frontier_prefers_bsm_saturate_on_mc() {
         pareto_frontier(
             &oracle,
             &FrontierConfig {
-                k: 5,
                 taus: taus.clone(),
                 solver,
+                ..FrontierConfig::new(5)
             },
         )
         .hypervolume

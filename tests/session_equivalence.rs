@@ -14,6 +14,12 @@
 //!    bit-identical to a cold one-shot run at budget `k`. This is the
 //!    invariant the bench harness's warm k-axis sweeps and the
 //!    `grid_warm_vs_cold` benchmark rest on.
+//! 3. **Stage-reuse equivalence** — solves fed the τ-independent BSM
+//!    stages from a [`StageMemo`] (as the daemon's `/solve` is), and
+//!    every point of a `pareto_frontier` sweep (which computes the
+//!    stages once), are bit-identical to cold one-shot solves. Since
+//!    one-shot solves seed their steppers with precomputed stages while
+//!    sessions step them, invariant 1 also pins seeded == stepped.
 //!
 //! CI re-runs this suite under `RAYON_NUM_THREADS=1`; the in-test
 //! thread sweep covers the multi-worker configuration, so the prefix
@@ -21,7 +27,9 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use fair_submod::core::engine::{ScenarioParams, SessionStatus, SolveReport, SolverRegistry};
+use fair_submod::core::engine::{
+    MemoSystem, ScenarioParams, SessionStatus, SolveReport, SolverRegistry, StageMemo,
+};
 use fair_submod::core::metrics::evaluate;
 use fair_submod::core::prelude::*;
 use fair_submod::datasets::{rand_fl, rand_mc, seeds};
@@ -49,8 +57,86 @@ fn strip_seconds(mut report: SolveReport) -> SolveReport {
     report
 }
 
+/// Bit-identity of two reports apart from `seconds`: the struct
+/// equality plus every float by bit pattern.
+fn assert_same_report(a: &SolveReport, b: &SolveReport, context: &str) {
+    assert_eq!(a, b, "{context}");
+    let bits = |r: &SolveReport| {
+        let notes: Vec<(String, u64)> = r
+            .notes
+            .iter()
+            .map(|(l, v)| (l.clone(), v.to_bits()))
+            .collect();
+        let floats = [r.objective, r.f, r.g, r.opt_f_estimate, r.opt_g_estimate].map(f64::to_bits);
+        (floats, notes)
+    };
+    assert_eq!(bits(a), bits(b), "{context}: float bits");
+}
+
+/// The solvers that share the τ-independent stages, and the τ grid the
+/// stage-reuse checks sweep.
+const STAGE_SOLVERS: [&str; 3] = ["Saturate", "BSM-TSGreedy", "BSM-Saturate"];
+const STAGE_TAUS: [f64; 4] = [0.0, 0.2, 0.6, 1.0];
+
+/// Memo-fed solves, in an order that interleaves solvers and τ, equal
+/// cold solves; the memo ends up holding one entry per stage.
+fn check_memo_fed_solves(system: &dyn DynUtilitySystem, label: &str, k: usize) {
+    let registry = SolverRegistry::default();
+    let memo = StageMemo::new();
+    let memo_fed = MemoSystem::new(system, &memo);
+    let cells: Vec<(&str, f64)> = STAGE_SOLVERS
+        .iter()
+        .flat_map(|&name| STAGE_TAUS.iter().map(move |&tau| (name, tau)))
+        .collect();
+    // Stride 5 is coprime to the 12 cells: a fixed shuffle.
+    for i in 0..cells.len() {
+        let (name, tau) = cells[(i * 5) % cells.len()];
+        let params = ScenarioParams::new(k, tau);
+        let cold = strip_seconds(registry.solve(name, system, &params).unwrap());
+        let fed = strip_seconds(registry.solve(name, &memo_fed, &params).unwrap());
+        assert_same_report(
+            &fed,
+            &cold,
+            &format!("{label}/{name} τ={tau}: memo-fed != cold"),
+        );
+    }
+    assert_eq!(
+        memo.len(),
+        2,
+        "{label}: one greedy-on-f and one Saturate key"
+    );
+}
+
+/// Every point of a sweep (stages computed once) equals the cold
+/// per-point solve, for both frontier solvers.
+fn check_frontier_points(system: &dyn DynUtilitySystem, label: &str, k: usize) {
+    let registry = SolverRegistry::default();
+    for (solver, name) in [
+        (FrontierSolver::TsGreedy, "BSM-TSGreedy"),
+        (FrontierSolver::BsmSaturate, "BSM-Saturate"),
+    ] {
+        let cfg = FrontierConfig {
+            taus: STAGE_TAUS.to_vec(),
+            solver,
+            ..FrontierConfig::new(k)
+        };
+        let frontier = pareto_frontier(&ErasedSystem(system), &cfg);
+        assert_eq!(frontier.points.len(), STAGE_TAUS.len(), "{label}/{name}");
+        for point in &frontier.points {
+            let cold = registry
+                .solve(name, system, &ScenarioParams::new(k, point.tau))
+                .unwrap();
+            let context = format!("{label}/{name} τ={}: sweep point != cold", point.tau);
+            assert_eq!(point.items, cold.items, "{context}");
+            assert_eq!(point.f.to_bits(), cold.f.to_bits(), "{context}");
+            assert_eq!(point.g.to_bits(), cold.g.to_bits(), "{context}");
+        }
+    }
+}
+
 /// For every resumable solver: session-to-completion == one-shot, and
-/// for prefix-exact sessions every `k` of the sweep == a cold run.
+/// for prefix-exact sessions every `k` of the sweep == a cold run; then
+/// the stage-reuse checks at the largest `k`.
 fn check_sessions_on(system: &dyn DynUtilitySystem, label: &str) {
     let registry = SolverRegistry::default();
     let ks = [1usize, 2, 4, 6];
@@ -106,6 +192,9 @@ fn check_sessions_on(system: &dyn DynUtilitySystem, label: &str) {
             assert_eq!(own, one_shot, "{label}/{name}");
         }
     }
+    // (3) Stage reuse: memo-fed solves and seeded sweep points.
+    check_memo_fed_solves(system, label, max_k);
+    check_frontier_points(system, label, max_k);
 }
 
 #[test]
