@@ -21,6 +21,11 @@
 //! Final reported values always come from independent forward Monte-Carlo
 //! simulation, as in the paper.
 //!
+//! The sample lives in one flat `u32` arena of RR-set node lists plus a
+//! node → RR-set inverted index; per-node uncovered counters make a gain
+//! query a counter read and an `apply` a walk over the arena slices of
+//! the sets it newly covers (DESIGN.md §9, §11).
+//!
 //! ## Example
 //!
 //! Fair influence maximization on a tiny two-community graph — the flow
@@ -57,5 +62,5 @@ pub mod rr;
 pub mod simulate;
 
 pub use models::{DiffusionModel, EdgeWeighting};
-pub use oracle::{RisOracle, RisUncompressedOracle};
+pub use oracle::RisOracle;
 pub use simulate::monte_carlo_evaluate;

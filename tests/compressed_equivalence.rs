@@ -1,35 +1,18 @@
-//! Equivalence suite for the compressed RR arena (DESIGN.md §11): the
-//! decode-on-scan compressed kernel must be **bit-identical** to the
-//! retained flat-`u32`-arena twin ([`RisOracle::uncompressed_reference`])
-//! and to the rescan kernel after *arbitrary* apply sequences — and the
-//! zero-copy restricted views must satisfy the same triangle against
-//! their own twins. Compression changes where bytes live, never which
-//! items a solve picks or the bits of any gain (see DESIGN.md §11 for
-//! the two-halves exactness argument: in-set order is unobservable
-//! because decrements commute, and the kernel arithmetic is untouched).
+//! Greedy parity and kernel labels of the RR arena (DESIGN.md §11).
+//! The arena was once delta-encoded and held here against a flat twin;
+//! it is now the flat `u32` layout itself, so both tests below hold it
+//! against the rescan kernel (`RisOracle::rescan_reference`) under
+//! the names they had then. The per-prefix gain proptests and the
+//! restricted-view cases live in `tests/incremental_equivalence.rs`.
 //!
-//! Greedy parity additionally pins `oracle_calls`: a decoded counter
-//! update answers the same `group_gains` contract as a flat-arena read,
-//! so both sides report identical call accounting on identical runs.
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-use proptest::prelude::*;
+//! Greedy parity also pins `oracle_calls`: a counter read answers the
+//! same `group_gains` contract as a rescan, so both sides report
+//! identical call accounting on identical runs.
 
 use fair_submod::core::prelude::*;
 use fair_submod::core::system::UtilitySystem;
 use fair_submod::datasets::{rand_mc, seeds};
-use fair_submod::influence::oracle::RisOracle;
 use fair_submod::influence::DiffusionModel;
-
-/// Serializes tests that touch the process-global rayon override (same
-/// rationale as `tests/parallel_equivalence.rs`).
-fn thread_override_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Restores the auto thread count when a test exits (even by panic).
 struct RestoreThreads;
@@ -39,94 +22,8 @@ impl Drop for RestoreThreads {
     }
 }
 
-/// Shared oracle for the proptest cases (built once; the RIS build is
-/// too expensive to repeat per generated case).
-fn shared_ris() -> &'static RisOracle {
-    static ORACLE: OnceLock<RisOracle> = OnceLock::new();
-    ORACLE.get_or_init(|| {
-        rand_mc(2, 120, seeds::RAND + 40).ris_oracle(DiffusionModel::ic(0.1), 3_000, 19)
-    })
-}
-
-/// A zero-copy view over [`shared_ris`] (every third item), shared
-/// across proptest cases like the root oracle.
-fn shared_view() -> &'static RisOracle {
-    static VIEW: OnceLock<RisOracle> = OnceLock::new();
-    VIEW.get_or_init(|| {
-        let members: Vec<ItemId> = (0..shared_ris().num_items() as ItemId).step_by(3).collect();
-        shared_ris().restrict(&members).expect("valid members")
-    })
-}
-
-/// Drives `fast` and `reference` through the same apply sequence,
-/// asserting every per-item/per-group gain bit-identical at every
-/// prefix (including the empty set) and after the full sequence.
-fn assert_compressed_matches_reference<A, B>(fast: &A, reference: &B, applies: &[u32])
-where
-    A: UtilitySystem,
-    B: UtilitySystem,
-{
-    assert_eq!(fast.num_items(), reference.num_items());
-    let n = fast.num_items();
-    let c = fast.num_groups();
-    let mut fs = fast.init_inner();
-    let mut rs = reference.init_inner();
-    let mut fg = vec![0.0; c];
-    let mut rg = vec![0.0; c];
-    let check_all = |fs: &A::Inner, rs: &B::Inner, fg: &mut [f64], rg: &mut [f64], step: usize| {
-        for v in 0..n as u32 {
-            fast.group_gains(fs, v, fg);
-            reference.group_gains(rs, v, rg);
-            for g in 0..c {
-                assert_eq!(
-                    fg[g].to_bits(),
-                    rg[g].to_bits(),
-                    "gain diverged at step {step}, item {v}, group {g}: {} vs {}",
-                    fg[g],
-                    rg[g]
-                );
-            }
-        }
-    };
-    check_all(&fs, &rs, &mut fg, &mut rg, 0);
-    for (step, &v) in applies.iter().enumerate() {
-        let v = v % n as u32;
-        fast.apply(&mut fs, v);
-        reference.apply(&mut rs, v);
-        check_all(&fs, &rs, &mut fg, &mut rg, step + 1);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn compressed_matches_flat_arena_after_any_apply_sequence(
-        applies in proptest::collection::vec(any::<u32>(), 0..12)
-    ) {
-        let oracle = shared_ris();
-        assert_compressed_matches_reference(oracle, &oracle.uncompressed_reference(), &applies);
-        // Transitivity double-check against the pre-incremental kernel.
-        assert_compressed_matches_reference(oracle, &oracle.rescan_reference(), &applies);
-    }
-
-    #[test]
-    fn restricted_view_matches_its_own_twins_after_any_apply_sequence(
-        applies in proptest::collection::vec(any::<u32>(), 0..12)
-    ) {
-        // The view's flat twin filters + remaps the shared arena to
-        // local ids; the triangle must close on the view exactly as it
-        // does on the root.
-        let view = shared_view();
-        assert_compressed_matches_reference(view, &view.uncompressed_reference(), &applies);
-        assert_compressed_matches_reference(view, &view.rescan_reference(), &applies);
-    }
-}
-
-/// Greedy over the compressed kernel vs greedy over the flat-arena
-/// twin: same items, same value bits, same oracle-call accounting —
-/// for both variants, so decode-on-scan counts exactly like the flat
-/// path it replaced.
+/// Greedy over `fast` vs greedy over `reference`: same items, same
+/// value bits, same oracle-call accounting, for both variants.
 fn assert_greedy_parity<A: UtilitySystem, B: UtilitySystem>(fast: &A, reference: &B, k: usize) {
     let f = MeanUtility::new(fast.num_users());
     for cfg in [GreedyConfig::naive(k), GreedyConfig::lazy(k)] {
@@ -140,66 +37,38 @@ fn assert_greedy_parity<A: UtilitySystem, B: UtilitySystem>(fast: &A, reference:
         );
         assert_eq!(
             a.oracle_calls, b.oracle_calls,
-            "compressed-kernel call accounting diverged from flat ({cfg:?})"
+            "counter-kernel call accounting diverged from rescan ({cfg:?})"
         );
     }
 }
 
-/// Both greedy variants, several seeds, thread counts 1 and 4: the
-/// compressed oracle and its flat twin must agree item-for-item and
-/// bit-for-bit regardless of how gain batches are scheduled.
+/// Both greedy variants, three seeds, thread counts 1 and 4: the RIS
+/// counters over the flat arena and the rescan kernel must agree
+/// item-for-item and bit-for-bit however gain batches are scheduled.
 #[test]
 fn greedy_runs_identically_on_compressed_and_flat_arenas() {
-    let _serial = thread_override_lock();
     let _restore = RestoreThreads;
     for seed in [1u64, 2, 3] {
         let oracle =
             rand_mc(2, 100, seeds::RAND + 50 + seed).ris_oracle(DiffusionModel::ic(0.12), 2_000, 7);
-        let flat = oracle.uncompressed_reference();
+        let rescan = oracle.rescan_reference();
         for threads in [1usize, 4] {
             rayon::set_num_threads(threads);
-            assert_greedy_parity(&oracle, &flat, 6);
+            assert_greedy_parity(&oracle, &rescan, 6);
         }
     }
 }
 
-/// The restricted view solves like a materialized shard would: greedy
-/// over the view equals greedy over the view's own flat twin.
-#[test]
-fn greedy_runs_identically_on_view_and_its_flat_twin() {
-    let view = shared_view();
-    assert_greedy_parity(view, &view.uncompressed_reference(), 6);
-    // Restrict-of-restrict composes member lists; the triangle must
-    // still close one level down.
-    let nested_members: Vec<ItemId> = (0..view.num_items() as ItemId).step_by(2).collect();
-    let nested = view.restrict(&nested_members).expect("valid members");
-    assert_greedy_parity(&nested, &nested.uncompressed_reference(), 4);
-}
-
-/// Compression must actually compress: the encoded payload stays below
-/// the flat arena's 4 bytes/node on a realistic sample.
-#[test]
-fn compressed_arena_is_smaller_than_flat() {
-    let oracle = shared_ris();
-    assert!(oracle.arena_len() > 0);
-    assert!(
-        oracle.arena_bytes() < oracle.arena_len() * 4,
-        "compressed {} B >= flat {} B",
-        oracle.arena_bytes(),
-        oracle.arena_len() * 4
-    );
-}
-
-/// The registry stamps the kernel labels: compressed oracle reports
-/// `compressed_counters`, the flat twin keeps `incremental_counters`.
+/// The registry stamps the kernel labels: the RIS oracle reports
+/// `incremental_counters`, its rescan twin the default `rescan`.
 #[test]
 fn reports_carry_the_compressed_kernel_label() {
     let registry = SolverRegistry::default();
     let params = ScenarioParams::new(4, 0.8);
-    let oracle = shared_ris();
-    let report = registry.solve("Greedy", oracle, &params).unwrap();
-    assert_eq!(report.gain_kernel, "compressed_counters");
-    let flat = oracle.uncompressed_reference();
-    let report = registry.solve("Greedy", &flat, &params).unwrap();
+    let oracle = rand_mc(2, 120, seeds::RAND + 40).ris_oracle(DiffusionModel::ic(0.1), 3_000, 19);
+    let report = registry.solve("Greedy", &oracle, &params).unwrap();
     assert_eq!(report.gain_kernel, "incremental_counters");
+    let rescan = oracle.rescan_reference();
+    let report = registry.solve("Greedy", &rescan, &params).unwrap();
+    assert_eq!(report.gain_kernel, "rescan");
 }

@@ -7,7 +7,9 @@
 //!
 //! Three substrates, three incremental strategies:
 //! * RIS — per-node uncovered-RR-set counters (`incremental_counters`),
-//!   reference = [`RisOracle::rescan_reference`];
+//!   reference = [`RisOracle::rescan_reference`], on the root oracle and
+//!   on its zero-copy restricted views (DESIGN.md §11), whose `apply`
+//!   filters the shared arena down to member rows;
 //! * coverage — per-item uncovered-user counters
 //!   (`incremental_counters`), reference =
 //!   [`CoverageOracle::unpacked_reference`], which reads the raw
@@ -61,6 +63,16 @@ fn shared_ris() -> &'static RisOracle {
     static ORACLE: OnceLock<RisOracle> = OnceLock::new();
     ORACLE.get_or_init(|| {
         rand_mc(2, 120, seeds::RAND + 22).ris_oracle(DiffusionModel::ic(0.1), 3_000, 17)
+    })
+}
+
+/// A zero-copy view over [`shared_ris`] (every third item), shared
+/// across proptest cases like the root oracle.
+fn shared_ris_view() -> &'static RisOracle {
+    static VIEW: OnceLock<RisOracle> = OnceLock::new();
+    VIEW.get_or_init(|| {
+        let members: Vec<ItemId> = (0..shared_ris().num_items() as ItemId).step_by(3).collect();
+        shared_ris().restrict(&members).expect("valid members")
     })
 }
 
@@ -128,6 +140,14 @@ proptest! {
     }
 
     #[test]
+    fn ris_view_counters_match_rescan_after_any_apply_sequence(
+        applies in proptest::collection::vec(any::<u32>(), 0..12)
+    ) {
+        let view = shared_ris_view();
+        assert_incremental_matches_reference(view, &view.rescan_reference(), &applies);
+    }
+
+    #[test]
     fn facility_active_set_matches_rescan_after_any_apply_sequence(
         applies in proptest::collection::vec(any::<u32>(), 0..12)
     ) {
@@ -166,6 +186,18 @@ fn greedy_runs_identically_on_fast_and_rescan_kernels() {
     assert_greedy_parity(ris, &ris.rescan_reference(), 8);
     let facility = shared_facility();
     assert_greedy_parity(facility, &facility.rescan_reference(), 8);
+}
+
+/// A restricted view solves like the rescan kernel over the same view,
+/// and so does a restrict-of-restrict, whose member lists compose back
+/// to the root oracle.
+#[test]
+fn greedy_runs_identically_on_ris_views_and_their_rescan_twins() {
+    let view = shared_ris_view();
+    assert_greedy_parity(view, &view.rescan_reference(), 6);
+    let nested_members: Vec<ItemId> = (0..view.num_items() as ItemId).step_by(2).collect();
+    let nested = view.restrict(&nested_members).expect("valid members");
+    assert_greedy_parity(&nested, &nested.rescan_reference(), 4);
 }
 
 /// CELF == naive across every greedy-using core, seeds, and thread
