@@ -543,7 +543,9 @@ fn main() {
             });
             let instance =
                 ShardedInstance::new(shard_oracles, merge).expect("slice shards are valid");
-            instance.solve_greedi(k, cfg.variant.clone())
+            instance
+                .solve_greedi(k, cfg.variant.clone())
+                .expect("resident shards")
         };
         let after_seconds = start.elapsed().as_secs_f64();
 
@@ -643,7 +645,9 @@ fn main() {
                 Ok(Arc::new(restrict.restrict(m)?) as Arc<dyn DynUtilitySystem>)
             })
             .expect("valid sharding");
-            instance.solve_greedi(k, cfg.variant.clone())
+            instance
+                .solve_greedi(k, cfg.variant.clone())
+                .expect("resident shards")
         };
         let after_seconds = start.elapsed().as_secs_f64();
 
@@ -731,7 +735,9 @@ fn main() {
                 Ok(Arc::new(restrict.restrict(mm)?) as Arc<dyn DynUtilitySystem>)
             })
             .expect("valid sharding");
-            instance.solve_greedi(k, cfg.variant.clone())
+            instance
+                .solve_greedi(k, cfg.variant.clone())
+                .expect("resident shards")
         };
         let after_seconds = start.elapsed().as_secs_f64();
 
@@ -887,7 +893,7 @@ fn main() {
             let instance =
                 ShardedInstance::out_of_core(members, build, merge).expect("partition is valid");
             let out = instance
-                .try_solve_greedi(k, cfg.variant.clone())
+                .solve_greedi(k, cfg.variant.clone())
                 .expect("scratch dir stays readable");
             (out, peak_rss_mib())
         };
@@ -934,7 +940,9 @@ fn main() {
             });
             let instance =
                 ShardedInstance::new(shard_oracles, merge).expect("slice shards are valid");
-            let out = instance.solve_greedi(k, cfg.variant.clone());
+            let out = instance
+                .solve_greedi(k, cfg.variant.clone())
+                .expect("resident shards");
             (out, peak_rss_mib())
         };
         let before_seconds = start.elapsed().as_secs_f64();

@@ -14,11 +14,13 @@
 //! This makes the greedy-for-`f` stage of both BSM schemes shardable;
 //! the fairness stages operate on the merged candidate pool.
 
+use std::convert::Infallible;
+
 use crate::aggregate::Aggregate;
 use crate::items::ItemId;
-use crate::system::{SolutionState, UtilitySystem};
+use crate::system::UtilitySystem;
 
-use super::greedy::GreedyVariant;
+use super::greedy::{greedy_over_pool, GreedyConfig, GreedyOutcome, GreedyVariant};
 use super::InvalidConfig;
 
 /// Configuration for [`greedi`].
@@ -66,9 +68,8 @@ impl GreediConfig {
 /// [`crate::engine::ShardedInstance`], so every sharded consumer agrees
 /// on the partition bit for bit.
 ///
-/// Members are returned in shuffled (not sorted) order; the per-shard
-/// greedy sorts its candidate list, so the order here only matters for
-/// reproducing the partition itself.
+/// Each shard's members are returned in ascending id order — the order
+/// every greedy round scans them in.
 pub fn shard_partition(n: usize, shards: usize, seed: u64) -> Vec<Vec<ItemId>> {
     let shards = shards.max(1);
     let mut order: Vec<ItemId> = (0..n as ItemId).collect();
@@ -81,7 +82,12 @@ pub fn shard_partition(n: usize, shards: usize, seed: u64) -> Vec<Vec<ItemId>> {
         order.swap(i, j);
     }
     (0..shards)
-        .map(|shard| order.iter().copied().skip(shard).step_by(shards).collect())
+        .map(|shard| {
+            let mut members: Vec<ItemId> =
+                order.iter().copied().skip(shard).step_by(shards).collect();
+            members.sort_unstable();
+            members
+        })
         .collect()
 }
 
@@ -110,172 +116,163 @@ pub fn greedi<S: UtilitySystem, A: Aggregate>(
     cfg: &GreediConfig,
 ) -> Result<GreediOutcome, InvalidConfig> {
     cfg.validate()?;
-    let n = system.num_items();
-    let k = cfg.k;
-
-    let partition = shard_partition(n, cfg.shards, cfg.seed);
-    let mut oracle_calls = 0u64;
-    let mut pool: Vec<ItemId> = Vec::with_capacity(cfg.shards * k);
-    let mut best_shard: (f64, Vec<ItemId>) = (f64::NEG_INFINITY, Vec::new());
-    for members in &partition {
-        let run = greedy_over_subset(system, aggregate, members, k, cfg.variant.clone());
-        oracle_calls += run.1;
-        let value = run.2;
-        if value > best_shard.0 {
-            best_shard = (value, run.0.clone());
-        }
-        pool.extend(run.0);
-    }
-
-    // Round 2 on the merged pool.
-    let round2 = greedy_over_subset(system, aggregate, &pool, k, cfg.variant.clone());
-    oracle_calls += round2.1;
-
-    Ok(merge_outcome(round2, best_shard, oracle_calls))
+    let partition = shard_partition(system.num_items(), cfg.shards, cfg.seed);
+    let mut fold = GreediFold::new(cfg.k, cfg.shards, &cfg.variant);
+    while fold.step_central(system, aggregate, &partition) {}
+    Ok(fold.into_outcome())
 }
 
-/// Final GreeDi comparison: the better of the round-2 solution and the
-/// best single-shard solution (ties go to round 2). Shared with the
-/// sharded tier so the decision rule can never drift.
-pub(crate) fn merge_outcome(
-    round2: (Vec<ItemId>, u64, f64),
-    best_shard: (f64, Vec<ItemId>),
-    oracle_calls: u64,
-) -> GreediOutcome {
-    if round2.2 >= best_shard.0 {
-        GreediOutcome {
-            items: round2.0,
-            value: round2.2,
-            best_shard_value: best_shard.0,
-            oracle_calls,
-        }
-    } else {
-        GreediOutcome {
-            items: best_shard.1.clone(),
-            value: best_shard.0,
-            best_shard_value: best_shard.0,
-            oracle_calls,
-        }
-    }
-}
-
-/// Greedy restricted to a candidate subset; returns
-/// `(items, oracle_calls, value)`. Crate-visible so the sharded tier and
-/// the native GreeDi session run the exact argmax/tie-break rule the
-/// one-shot algorithm runs.
+/// GreeDi as a fold stepped one round at a time: each
+/// [`GreediFold::step`] runs round 1 on the next shard or, once every
+/// shard has run, round 2 on the merged pool and the final comparison.
 ///
-/// `variant` is honored: `Lazy` (the [`GreediConfig`] default) runs a
-/// candidate-restricted CELF with the same heap ordering, tie-break, and
-/// batched stale refreshes as the central [`super::greedy::greedy`]
-/// engine — round 1 of GreeDi runs over `n/p`-sized shards, where lazy
-/// evaluation pays exactly as it does centrally. `Naive` (and
-/// `Stochastic`, which degenerates to it on a restricted pool) keeps the
-/// historical per-round scan in ascending id order with the strict
-/// `> best + 1e-15` improvement rule, batched through one
-/// `gains_batch_into` per round.
-pub(crate) fn greedy_over_subset<S: UtilitySystem, A: Aggregate>(
-    system: &S,
-    aggregate: &A,
-    candidates: &[ItemId],
-    k: usize,
-    variant: GreedyVariant,
-) -> (Vec<ItemId>, u64, f64) {
-    use std::collections::BinaryHeap;
+/// This is the one place GreeDi's decision rule lives. Its callers —
+/// [`greedi`], the engine's `GreediSession` and
+/// `ShardedInstance::solve_greedi` — step it in shard order and differ
+/// only in where a round's oracle comes from, so they cannot drift.
+pub(crate) struct GreediFold {
+    /// The greedy every round runs: budget `k` and the config's variant,
+    /// with `Stochastic` run as `Naive` on a restricted pool.
+    round: GreedyConfig,
+    shards: usize,
+    next_shard: usize,
+    oracle_calls: u64,
+    pool: Vec<ItemId>,
+    best_shard: (f64, Vec<ItemId>),
+    outcome: Option<GreediOutcome>,
+}
 
-    use super::greedy::{best_candidate, HeapEntry, CELF_BATCH_CAP};
-
-    let mut candidates = candidates.to_vec();
-    candidates.sort_unstable();
-    candidates.dedup();
-    let mut state = SolutionState::new(system);
-    let mut chosen: Vec<ItemId> = Vec::with_capacity(k);
-    let mut gains: Vec<f64> = Vec::new();
-    match variant {
-        GreedyVariant::Lazy => {
-            if k == 0 || candidates.is_empty() {
-                let value = state.value(aggregate);
-                return (chosen, state.oracle_calls(), value);
-            }
-            // Seed the heap with one batched scan of the pool, then run
-            // CELF rounds with doubling stale-refresh slabs — the same
-            // scheme (and thus the same selections) as the central lazy
-            // engine, restricted to `candidates`.
-            let c = system.num_groups();
-            gains.resize(candidates.len() * c, 0.0);
-            state.gains_batch_into(&candidates, &mut gains);
-            let mut heap = BinaryHeap::with_capacity(candidates.len());
-            for (j, &v) in candidates.iter().enumerate() {
-                let bound = aggregate.gain(state.group_sums(), &gains[j * c..(j + 1) * c]);
-                heap.push(HeapEntry {
-                    bound,
-                    item: v,
-                    round: 0,
-                });
-            }
-            let mut batch: Vec<ItemId> = Vec::new();
-            for round in 0..k {
-                let mut slab = 1usize;
-                let top = loop {
-                    match heap.peek() {
-                        None => break None,
-                        Some(entry) if entry.round == round => break heap.pop(),
-                        Some(_) => {}
-                    }
-                    batch.clear();
-                    while batch.len() < slab {
-                        match heap.peek() {
-                            Some(entry) if entry.round != round => {
-                                batch.push(heap.pop().expect("peeked").item);
-                            }
-                            _ => break,
-                        }
-                    }
-                    gains.clear();
-                    gains.resize(batch.len() * c, 0.0);
-                    state.gains_batch_into(&batch, &mut gains);
-                    for (j, &v) in batch.iter().enumerate() {
-                        let bound = aggregate.gain(state.group_sums(), &gains[j * c..(j + 1) * c]);
-                        heap.push(HeapEntry {
-                            bound,
-                            item: v,
-                            round,
-                        });
-                    }
-                    slab = (slab * 2).min(CELF_BATCH_CAP);
-                };
-                match top {
-                    Some(entry) if entry.bound > 1e-15 => {
-                        state.insert(entry.item);
-                        chosen.push(entry.item);
-                    }
-                    _ => break,
-                }
-            }
-        }
-        GreedyVariant::Naive | GreedyVariant::Stochastic { .. } => {
-            let mut live: Vec<ItemId> = Vec::with_capacity(candidates.len());
-            for _ in 0..k {
-                live.clear();
-                live.extend(candidates.iter().copied().filter(|&v| !state.contains(v)));
-                match best_candidate(&mut state, aggregate, &live, &mut gains) {
-                    Some((gain, v)) if gain > 1e-15 => {
-                        state.insert(v);
-                        chosen.push(v);
-                    }
-                    _ => break,
-                }
-            }
+impl GreediFold {
+    /// A fold over `shards ≥ 1` shards at budget `k`.
+    pub(crate) fn new(k: usize, shards: usize, variant: &GreedyVariant) -> Self {
+        let variant = match variant {
+            GreedyVariant::Stochastic { .. } => GreedyVariant::Naive,
+            other => other.clone(),
+        };
+        Self {
+            round: GreedyConfig {
+                variant,
+                ..GreedyConfig::lazy(k)
+            },
+            shards,
+            next_shard: 0,
+            oracle_calls: 0,
+            pool: Vec::new(),
+            best_shard: (f64::NEG_INFINITY, Vec::new()),
+            outcome: None,
         }
     }
-    let value = state.value(aggregate);
-    (chosen, state.oracle_calls(), value)
+
+    /// Runs the next round and returns whether more remain. `shard(s,
+    /// cfg)` runs `cfg` on shard `s`; `merge(pool, cfg)` runs it on the
+    /// ascending round-2 pool. Both report items as global ids.
+    ///
+    /// An empty pool (`k = 0`, or no shard found a positive gain) leaves
+    /// round 2 nothing to choose from, so `merge` is not called: round 2
+    /// returns the empty set, worth what every shard's empty start is
+    /// worth.
+    pub(crate) fn step<E>(
+        &mut self,
+        shard: impl FnOnce(usize, &GreedyConfig) -> Result<GreedyOutcome, E>,
+        merge: impl FnOnce(&[ItemId], &GreedyConfig) -> Result<GreedyOutcome, E>,
+    ) -> Result<bool, E> {
+        if self.outcome.is_some() {
+            return Ok(false);
+        }
+        if self.next_shard < self.shards {
+            let run = shard(self.next_shard, &self.round)?;
+            self.oracle_calls += run.oracle_calls;
+            if run.value > self.best_shard.0 {
+                self.best_shard = (run.value, run.items.clone());
+            }
+            self.pool.extend(run.items);
+            self.next_shard += 1;
+            return Ok(true);
+        }
+        self.pool.sort_unstable();
+        self.pool.dedup();
+        let (items, value) = if self.pool.is_empty() {
+            (Vec::new(), self.best_shard.0)
+        } else {
+            let run = merge(&self.pool, &self.round)?;
+            self.oracle_calls += run.oracle_calls;
+            (run.items, run.value)
+        };
+        // The better of round 2 and the best single shard; ties go to
+        // round 2.
+        let best_shard_value = self.best_shard.0;
+        let (items, value) = if value >= best_shard_value {
+            (items, value)
+        } else {
+            (std::mem::take(&mut self.best_shard.1), best_shard_value)
+        };
+        self.outcome = Some(GreediOutcome {
+            items,
+            value,
+            best_shard_value,
+            oracle_calls: self.oracle_calls,
+        });
+        Ok(false)
+    }
+
+    /// [`GreediFold::step`] over one central `system`: round 1 scans
+    /// shard `s`'s members of `partition`, round 2 the pool.
+    pub(crate) fn step_central<S: UtilitySystem, A: Aggregate>(
+        &mut self,
+        system: &S,
+        aggregate: &A,
+        partition: &[Vec<ItemId>],
+    ) -> bool {
+        let round = |pool: &[ItemId], cfg: &GreedyConfig| -> Result<GreedyOutcome, Infallible> {
+            Ok(greedy_over_pool(
+                system,
+                aggregate,
+                cfg,
+                Some(pool.to_vec()),
+            ))
+        };
+        match self.step(|s, cfg| round(&partition[s], cfg), round) {
+            Ok(running) => running,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Number of shards round 1 runs over.
+    pub(crate) fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// Oracle calls of the rounds run so far.
+    pub(crate) fn oracle_calls(&self) -> u64 {
+        self.oracle_calls
+    }
+
+    /// The final outcome, once round 2 has run.
+    pub(crate) fn outcome(&self) -> Option<&GreediOutcome> {
+        self.outcome.as_ref()
+    }
+
+    /// The best solution so far and its value: the outcome once
+    /// finished, else the best shard, else the empty set at 0.
+    pub(crate) fn best(&self) -> (Vec<ItemId>, f64) {
+        match &self.outcome {
+            Some(run) => (run.items.clone(), run.value),
+            None if self.best_shard.0.is_finite() => (self.best_shard.1.clone(), self.best_shard.0),
+            None => (Vec::new(), 0.0),
+        }
+    }
+
+    /// The outcome of a finished fold.
+    pub(crate) fn into_outcome(self) -> GreediOutcome {
+        self.outcome.expect("GreeDi fold stepped to completion")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::MeanUtility;
-    use crate::algorithms::greedy::{greedy, GreedyConfig};
+    use crate::algorithms::greedy::greedy;
     use crate::toy;
 
     #[test]
@@ -341,18 +338,25 @@ mod tests {
 
     #[test]
     fn lazy_subset_greedy_matches_naive_subset_greedy() {
-        // The restricted CELF must select the same items as the
-        // restricted naive scan (integer coverage gains: ties are exact
-        // and both tie-break toward the smaller id), with fewer calls.
+        // The pool-restricted CELF must select the same items as the
+        // pool-restricted naive scan (integer coverage gains: ties are
+        // exact and both tie-break toward the smaller id), with fewer
+        // calls.
         for seed in 1..5u64 {
             let sys = toy::random_coverage(50, 120, 3, 0.1, seed);
             let f = MeanUtility::new(sys.num_users());
             let candidates: Vec<ItemId> = (0..50).filter(|v| v % 3 != 1).collect();
-            let naive = greedy_over_subset(&sys, &f, &candidates, 8, GreedyVariant::Naive);
-            let lazy = greedy_over_subset(&sys, &f, &candidates, 8, GreedyVariant::Lazy);
-            assert_eq!(naive.0, lazy.0, "seed {seed}");
-            assert_eq!(naive.2.to_bits(), lazy.2.to_bits(), "seed {seed}");
-            assert!(lazy.1 <= naive.1, "seed {seed}: {} vs {}", lazy.1, naive.1);
+            let naive =
+                greedy_over_pool(&sys, &f, &GreedyConfig::naive(8), Some(candidates.clone()));
+            let lazy = greedy_over_pool(&sys, &f, &GreedyConfig::lazy(8), Some(candidates));
+            assert_eq!(naive.items, lazy.items, "seed {seed}");
+            assert_eq!(naive.value.to_bits(), lazy.value.to_bits(), "seed {seed}");
+            assert!(
+                lazy.oracle_calls <= naive.oracle_calls,
+                "seed {seed}: {} vs {}",
+                lazy.oracle_calls,
+                naive.oracle_calls
+            );
         }
     }
 

@@ -24,6 +24,9 @@
 //! [`greedy_into`] are thin drivers that step the engine to completion —
 //! their outputs are bit-identical to the historical run-to-completion
 //! loops because the engine *is* those loops, cut at the round boundary.
+//! A crate-internal constructor restricts the candidates to an ascending
+//! pool of ids; GreeDi's rounds over a central system run through it
+//! (`algorithms::distributed`), so GreeDi has no greedy loop of its own.
 //!
 //! Because one greedy round never looks at the budget `k` except to
 //! decide whether to stop, the solution for budget `k` is a strict prefix
@@ -68,7 +71,7 @@ impl Default for GreedyVariant {
 /// selection round, so total re-evaluations stay within 2× of the
 /// one-at-a-time walk while large stale prefixes are still evaluated in
 /// parallel-friendly slabs.
-pub(crate) const CELF_BATCH_CAP: usize = 1024;
+const CELF_BATCH_CAP: usize = 1024;
 
 /// Configuration for [`greedy`].
 #[derive(Clone, Debug)]
@@ -140,12 +143,10 @@ pub struct GreedyOutcome {
 }
 
 /// Max-heap entry for lazy-forward: stale upper bound on an item's gain.
-/// Crate-visible so the subset greedy (`algorithms::distributed`) runs
-/// the exact same CELF ordering and tie-break.
-pub(crate) struct HeapEntry {
-    pub(crate) bound: f64,
-    pub(crate) item: ItemId,
-    pub(crate) round: usize,
+struct HeapEntry {
+    bound: f64,
+    item: ItemId,
+    round: usize,
 }
 
 impl PartialEq for HeapEntry {
@@ -207,6 +208,21 @@ pub fn greedy_into<S: UtilitySystem, A: Aggregate>(
     engine.into_outcome(state)
 }
 
+/// Runs `cfg` from an empty state with the candidates restricted to the
+/// ascending `pool` — one GreeDi round over a central system
+/// (`algorithms::distributed`).
+pub(crate) fn greedy_over_pool<S: UtilitySystem, A: Aggregate>(
+    system: &S,
+    aggregate: &A,
+    cfg: &GreedyConfig,
+    pool: Option<Vec<ItemId>>,
+) -> GreedyOutcome {
+    let mut state = SolutionState::new(system);
+    let mut engine = GreedyEngine::with_pool(&mut state, aggregate, cfg.clone(), pool);
+    while engine.step(&mut state) {}
+    engine.into_outcome(&state)
+}
+
 fn effective_target<A: Aggregate>(aggregate: &A, cfg: &GreedyConfig) -> Option<f64> {
     match (cfg.stop_at, aggregate.saturation_value()) {
         (Some(t), Some(s)) => Some(t.min(s)),
@@ -225,7 +241,7 @@ fn target_reached(value: f64, target: Option<f64>, slack: f64) -> bool {
 /// candidate order with the same strict `> best + 1e-15` improvement rule
 /// as the historical per-item loop, so the winner (and every tie-break)
 /// is identical to evaluating candidates one at a time.
-pub(crate) fn best_candidate<S: UtilitySystem, A: Aggregate>(
+fn best_candidate<S: UtilitySystem, A: Aggregate>(
     state: &mut SolutionState<'_, S>,
     aggregate: &A,
     candidates: &[ItemId],
@@ -250,6 +266,23 @@ pub(crate) fn best_candidate<S: UtilitySystem, A: Aggregate>(
         }
     }
     best
+}
+
+/// Refills `out` with the live candidates in ascending id order: the
+/// items of `pool` (the whole ground set when `None`) not yet in `state`.
+fn live_candidates<S: UtilitySystem>(
+    state: &SolutionState<'_, S>,
+    pool: Option<&[ItemId]>,
+    out: &mut Vec<ItemId>,
+) {
+    out.clear();
+    match pool {
+        Some(pool) => out.extend(pool.iter().copied().filter(|&v| !state.contains(v))),
+        None => {
+            let n = state.system().num_items() as ItemId;
+            out.extend((0..n).filter(|&v| !state.contains(v)));
+        }
+    }
 }
 
 /// Per-variant incremental state of a [`GreedyEngine`].
@@ -289,6 +322,8 @@ enum VariantState {
 pub(crate) struct GreedyEngine<A: Aggregate> {
     cfg: GreedyConfig,
     aggregate: A,
+    /// Ascending candidate pool; `None` is the whole ground set.
+    pool: Option<Vec<ItemId>>,
     target: Option<f64>,
     variant: VariantState,
     initial_value: f64,
@@ -312,12 +347,26 @@ impl<A: Aggregate> GreedyEngine<A> {
         aggregate: A,
         cfg: GreedyConfig,
     ) -> Self {
+        Self::with_pool(state, aggregate, cfg, None)
+    }
+
+    /// [`GreedyEngine::new`] choosing only among the ascending `pool`
+    /// (`None` is the whole ground set). Scans visit the pool in
+    /// ascending id order, so a pool run makes exactly the selections,
+    /// tie-breaks and oracle calls of a run over a system holding only
+    /// the pool's items.
+    pub(crate) fn with_pool<S: UtilitySystem>(
+        state: &mut SolutionState<'_, S>,
+        aggregate: A,
+        cfg: GreedyConfig,
+        pool: Option<Vec<ItemId>>,
+    ) -> Self {
         let target = effective_target(&aggregate, &cfg);
         let value = state.value(&aggregate);
         let reached = target_reached(value, target, cfg.stop_slack);
         let variant = match cfg.variant {
             GreedyVariant::Naive => VariantState::Naive {
-                candidates: Vec::with_capacity(state.system().num_items()),
+                candidates: Vec::new(),
                 gains: Vec::new(),
             },
             GreedyVariant::Lazy => VariantState::Lazy {
@@ -327,9 +376,10 @@ impl<A: Aggregate> GreedyEngine<A> {
                 gains: Vec::new(),
             },
             GreedyVariant::Stochastic { sample_size } => {
-                let n = state.system().num_items();
+                let mut live = Vec::new();
+                live_candidates(state, pool.as_deref(), &mut live);
                 VariantState::Stochastic {
-                    pool: (0..n as ItemId).filter(|&v| !state.contains(v)).collect(),
+                    pool: live,
                     rng: StdRng::seed_from_u64(cfg.seed),
                     sample_size,
                     gains: Vec::new(),
@@ -339,6 +389,7 @@ impl<A: Aggregate> GreedyEngine<A> {
         Self {
             cfg,
             aggregate,
+            pool,
             target,
             variant,
             initial_value: value,
@@ -362,14 +413,13 @@ impl<A: Aggregate> GreedyEngine<A> {
             return self.finish(state);
         }
         let aggregate = &self.aggregate;
+        let pool = self.pool.as_deref();
         let inserted = match &mut self.variant {
             VariantState::Naive { candidates, gains } => {
-                let n = state.system().num_items();
                 // One batched oracle call per round: every remaining
                 // candidate in ascending id order, so the argmax
                 // tie-breaking matches the historical per-item scan.
-                candidates.clear();
-                candidates.extend((0..n as ItemId).filter(|&v| !state.contains(v)));
+                live_candidates(state, pool, candidates);
                 match best_candidate(state, aggregate, candidates, gains) {
                     Some((gain, v)) if gain > 1e-15 => {
                         state.insert(v);
@@ -388,13 +438,12 @@ impl<A: Aggregate> GreedyEngine<A> {
                     // Round 0: evaluate everything once — through the
                     // batch seam, so the full scan that dominates lazy
                     // greedy's cost runs in parallel — to seed the heap.
-                    let n = state.system().num_items();
-                    let candidates: Vec<ItemId> =
-                        (0..n as ItemId).filter(|&v| !state.contains(v)).collect();
+                    let mut candidates = Vec::new();
+                    live_candidates(state, pool, &mut candidates);
                     let c = state.system().num_groups();
                     let mut seed_gains = vec![0.0; candidates.len() * c];
                     state.gains_batch_into(&candidates, &mut seed_gains);
-                    let mut seeded = BinaryHeap::with_capacity(n);
+                    let mut seeded = BinaryHeap::with_capacity(candidates.len());
                     for (j, &v) in candidates.iter().enumerate() {
                         let bound =
                             aggregate.gain(state.group_sums(), &seed_gains[j * c..(j + 1) * c]);

@@ -105,12 +105,13 @@ pub(crate) struct SieveCore<I> {
 
 impl<I: Clone> SieveCore<I> {
     /// Fresh pass over `0..system.num_items()`. The config must already
-    /// be validated.
+    /// be validated. At `k = 0` no item can be kept, so the pass is
+    /// empty: done at once, with no oracle call.
     pub(crate) fn new<S: UtilitySystem<Inner = I>>(system: &S, cfg: &SieveConfig) -> Self {
         Self {
-            k: cfg.k.max(1),
+            k: cfg.k,
             base: 1.0 + cfg.epsilon,
-            n: system.num_items(),
+            n: if cfg.k == 0 { 0 } else { system.num_items() },
             next: 0,
             delta: 0.0,
             probe: Some(SolutionState::new(system).into_parts()),
@@ -266,7 +267,7 @@ mod tests {
     fn sieve_respects_cardinality() {
         let sys = toy::random_coverage(30, 60, 2, 0.3, 9);
         let f = MeanUtility::new(sys.num_users());
-        for k in [1usize, 3, 10] {
+        for k in [0usize, 1, 3, 10] {
             let out = sieve_streaming(&sys, &f, &SieveConfig::new(k)).expect("valid config");
             assert!(out.items.len() <= k, "k = {k}");
         }

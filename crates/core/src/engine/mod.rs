@@ -65,5 +65,5 @@ pub use report::{SolveReport, SolverError};
 pub use session::{OneShotSession, PartialSolution, SessionStatus, SolveSession};
 pub use sharded::{
     validate_shard_members, validate_shard_partition, MergeBuilder, ShardBuilder, ShardOracle,
-    ShardedGreediSession, ShardedInstance, ShardedSieveSession, SpillPolicy, SubsetSystem,
+    ShardedInstance, SubsetSystem,
 };

@@ -21,6 +21,11 @@
 //! * **Uniformity** — solvers without a native incremental core are
 //!   wrapped by the run-to-completion [`OneShotSession`] adapter, so
 //!   schedulers can treat every solver as a session.
+//! * **Sharded serving** — the GreeDi and Sieve-Streaming sessions also
+//!   open on a [`ShardedInstance`] ([`GreediSession::sharded`],
+//!   [`SieveSession::sharded`]): the same session type, stepping the
+//!   same core against the instance's own oracles, which is how the
+//!   daemon serves `"shards": p` requests.
 //!
 //! Sessions are opened through [`super::Solver::open_session`] (or
 //! [`super::SolverRegistry::open_session`]); the
@@ -38,12 +43,12 @@
 //! one-shot run at budget `k`. `tests/session_equivalence.rs` enforces
 //! both across substrates and thread counts.
 
+use std::sync::Arc;
+
 use crate::aggregate::MeanUtility;
 use crate::algorithms::bsm_saturate::{BsmSaturateConfig, BsmSaturateStepper};
-use crate::algorithms::distributed::{
-    greedy_over_subset, merge_outcome, shard_partition, GreediOutcome,
-};
-use crate::algorithms::greedy::{GreedyEngine, GreedyVariant};
+use crate::algorithms::distributed::{shard_partition, GreediFold};
+use crate::algorithms::greedy::GreedyEngine;
 use crate::algorithms::saturate::{SaturateConfig, SaturateStepper};
 use crate::algorithms::streaming::{SieveConfig, SieveCore};
 use crate::algorithms::tsgreedy::{TsGreedyConfig, TsGreedyStepper};
@@ -54,6 +59,7 @@ use crate::system::{SolutionState, StateParts};
 use super::erased::{DynState, DynUtilitySystem, ErasedSystem};
 use super::params::ScenarioParams;
 use super::report::{SolveReport, SolverError};
+use super::sharded::ShardedInstance;
 
 /// Whether a session has more rounds to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -682,26 +688,34 @@ impl SolveSession for TsGreedySession {
     }
 }
 
-/// Native GreeDi session: one shard's restricted greedy per step, then
-/// one merge step (round 2 over the union pool).
+/// Where a [`GreediSession`]'s rounds get their oracles.
+enum GreediSource {
+    /// Shards of the system passed to `step`, cut by [`shard_partition`].
+    Central(Vec<Vec<ItemId>>),
+    /// A sharded instance that owns its shard and merge oracles.
+    Sharded(Arc<ShardedInstance>),
+}
+
+/// Native GreeDi session: one shard's round-1 greedy per step, then one
+/// merge step (round 2 over the union pool).
 ///
-/// Replays [`crate::algorithms::distributed::greedi`] at shard-round
-/// granularity: the partition comes from [`shard_partition`], every
-/// shard run and the merge run go through `greedy_over_subset`, and
-/// the final comparison through `merge_outcome` — the same three
-/// pieces the one-shot algorithm is built from, so the finish report is
+/// Steps the one GreeDi fold of [`crate::algorithms::distributed`] —
+/// the fold [`crate::algorithms::distributed::greedi`] and
+/// [`ShardedInstance::solve_greedi`] step — from either source: the
+/// system passed to `step` ([`GreediSession::open`]) or a
+/// [`ShardedInstance`] ([`GreediSession::sharded`], the daemon's path
+/// for instances held as shard oracles). A sharded session ignores the
+/// system passed to `step`; either way `solution_at`/`finish` evaluate
+/// against the passed (centralized) system, so the finish report is
 /// bit-identical to [`super::adapters::GreediSolver`]'s.
 pub struct GreediSession {
     tau: f64,
     k: usize,
-    shards: usize,
-    variant: GreedyVariant,
-    partition: Vec<Vec<ItemId>>,
-    next_shard: usize,
-    oracle_calls: u64,
-    pool: Vec<ItemId>,
-    best_shard: (f64, Vec<ItemId>),
-    outcome: Option<GreediOutcome>,
+    source: GreediSource,
+    fold: GreediFold,
+    /// First shard-build failure (out-of-core scratch I/O); terminal —
+    /// surfaced by `solution_at`/`finish` instead of a panic.
+    failure: Option<SolverError>,
     steps: usize,
 }
 
@@ -710,17 +724,26 @@ impl GreediSession {
     /// must already be validated; no oracle work until the first step).
     pub fn open(system: &dyn DynUtilitySystem, params: &ScenarioParams) -> Self {
         let shards = params.shards.max(1);
+        let partition = shard_partition(system.dyn_num_items(), shards, params.seed);
+        Self::with_source(GreediSource::Central(partition), shards, params)
+    }
+
+    /// Opens a session over `instance` (parameters must already be
+    /// validated; no oracle work until the first step). The instance's
+    /// own shard count drives the schedule — `params.shards` is ignored
+    /// here because the partition is already baked into the instance.
+    pub fn sharded(instance: Arc<ShardedInstance>, params: &ScenarioParams) -> Self {
+        let shards = instance.num_shards();
+        Self::with_source(GreediSource::Sharded(instance), shards, params)
+    }
+
+    fn with_source(source: GreediSource, shards: usize, params: &ScenarioParams) -> Self {
         Self {
             tau: params.tau,
             k: params.k,
-            shards,
-            variant: params.variant.clone(),
-            partition: shard_partition(system.dyn_num_items(), shards, params.seed),
-            next_shard: 0,
-            oracle_calls: 0,
-            pool: Vec::with_capacity(shards * params.k),
-            best_shard: (f64::NEG_INFINITY, Vec::new()),
-            outcome: None,
+            source,
+            fold: GreediFold::new(params.k, shards, &params.variant),
+            failure: None,
             steps: 0,
         }
     }
@@ -732,7 +755,7 @@ impl SolveSession for GreediSession {
     }
 
     fn done(&self) -> bool {
-        self.outcome.is_some()
+        self.fold.outcome().is_some() || self.failure.is_some()
     }
 
     fn rounds(&self) -> usize {
@@ -745,47 +768,37 @@ impl SolveSession for GreediSession {
             // counter (finish() always issues one trailing step).
             return SessionStatus::Done;
         }
-        let erased = ErasedSystem(system);
-        let f = MeanUtility::new(system.dyn_num_users());
-        if self.next_shard < self.partition.len() {
-            // Round 1, one shard: exactly the fold `greedi` performs.
-            let members = &self.partition[self.next_shard];
-            let run = greedy_over_subset(&erased, &f, members, self.k, self.variant.clone());
-            self.oracle_calls += run.1;
-            let value = run.2;
-            if value > self.best_shard.0 {
-                self.best_shard = (value, run.0.clone());
+        let stepped = match &self.source {
+            GreediSource::Central(partition) => {
+                let f = MeanUtility::new(system.dyn_num_users());
+                Ok(self.fold.step_central(&ErasedSystem(system), &f, partition))
             }
-            self.pool.extend(run.0);
-            self.next_shard += 1;
-            self.steps += 1;
-            SessionStatus::Running
-        } else {
-            // Round 2 on the merged pool, then the final comparison.
-            let round2 = greedy_over_subset(&erased, &f, &self.pool, self.k, self.variant.clone());
-            self.oracle_calls += round2.1;
-            self.outcome = Some(merge_outcome(
-                round2,
-                self.best_shard.clone(),
-                self.oracle_calls,
-            ));
-            self.steps += 1;
-            SessionStatus::Done
+            GreediSource::Sharded(instance) => instance.step_greedi(&mut self.fold),
+        };
+        match stepped {
+            Ok(running) => {
+                self.steps += 1;
+                if running {
+                    SessionStatus::Running
+                } else {
+                    SessionStatus::Done
+                }
+            }
+            Err(err) => {
+                self.failure = Some(err);
+                SessionStatus::Done
+            }
         }
     }
 
     fn snapshot(&self) -> PartialSolution {
-        let (items, objective) = match &self.outcome {
-            Some(run) => (run.items.clone(), run.value),
-            None if self.best_shard.0.is_finite() => (self.best_shard.1.clone(), self.best_shard.0),
-            None => (Vec::new(), 0.0),
-        };
+        let (items, objective) = self.fold.best();
         PartialSolution {
             round: self.steps,
             items,
             group_sums: Vec::new(),
             objective,
-            oracle_calls: self.oracle_calls,
+            oracle_calls: self.fold.oracle_calls(),
             done: self.done(),
         }
     }
@@ -795,7 +808,13 @@ impl SolveSession for GreediSession {
         system: &dyn DynUtilitySystem,
         k: usize,
     ) -> Result<SolveReport, SolverError> {
-        let run = match (k == self.k, &self.outcome) {
+        if let Some(err) = &self.failure {
+            return Err(SolverError::InvalidParams {
+                solver: self.solver().to_string(),
+                message: format!("shard materialization failed: {err}"),
+            });
+        }
+        let run = match (k == self.k, self.fold.outcome()) {
             (true, Some(run)) => run,
             (false, _) => {
                 return Err(SolverError::InvalidParams {
@@ -824,7 +843,7 @@ impl SolveSession for GreediSession {
             &eval,
             run.value,
         )
-        .note("shards", self.shards as f64)
+        .note("shards", self.fold.shards() as f64)
         .note("best_shard_value", run.best_shard_value);
         report.oracle_calls = run.oracle_calls;
         report.gain_kernel = system.dyn_gain_kernel().to_string();
@@ -839,12 +858,21 @@ impl SolveSession for GreediSession {
 
 /// Native Sieve-Streaming session: one stream arrival per step.
 ///
-/// Wraps the same `SieveCore` the one-shot free function drives, so
-/// the grid of OPT guesses, acceptance thresholds, and oracle-call
-/// accounting are shared by construction.
+/// Wraps the same `SieveCore` the one-shot free function and
+/// [`ShardedInstance::solve_sieve`] drive, so the grid of OPT guesses,
+/// acceptance thresholds, and oracle-call accounting are shared by
+/// construction. A session opened with [`SieveSession::sharded`] owns
+/// its stream — the sorted union of shard ids and the merge oracle over
+/// them — and ignores the system passed to `step`; either way
+/// `solution_at`/`finish` evaluate against the passed (centralized)
+/// system, so the finish report is byte-identical to the centralized
+/// `SieveStreaming` solver's.
 pub struct SieveSession {
     tau: f64,
     k: usize,
+    /// Owned stream: global ids of the union oracle's local items, and
+    /// the union oracle itself.
+    owned: Option<(Vec<ItemId>, Arc<dyn DynUtilitySystem>)>,
     core: SieveCore<DynState>,
     steps: usize,
 }
@@ -861,8 +889,28 @@ impl SieveSession {
         Self {
             tau: params.tau,
             k: params.k,
+            owned: None,
             core: SieveCore::new(&erased, &cfg),
             steps: 0,
+        }
+    }
+
+    /// Opens a session streaming `instance`'s shard union (parameters
+    /// must already be validated). Materializes the union merge oracle
+    /// once.
+    pub fn sharded(instance: &ShardedInstance, params: &ScenarioParams) -> Self {
+        let (union, system) = instance.union_system();
+        Self {
+            owned: Some((union, Arc::clone(&system))),
+            ..Self::open(system.as_ref(), params)
+        }
+    }
+
+    /// `items` of the streamed oracle as global ids.
+    fn global(&self, items: Vec<ItemId>) -> Vec<ItemId> {
+        match &self.owned {
+            Some((union, _)) => items.iter().map(|&j| union[j as usize]).collect(),
+            None => items,
         }
     }
 }
@@ -886,9 +934,12 @@ impl SolveSession for SieveSession {
             // counter (finish() always issues one trailing step).
             return SessionStatus::Done;
         }
-        let erased = ErasedSystem(system);
+        let system = self
+            .owned
+            .as_ref()
+            .map_or(system, |(_, owned)| owned.as_ref());
         let f = MeanUtility::new(system.dyn_num_users());
-        self.core.step(&erased, &f);
+        self.core.step(&ErasedSystem(system), &f);
         self.steps += 1;
         if self.core.done() {
             SessionStatus::Done
@@ -901,7 +952,7 @@ impl SolveSession for SieveSession {
         let run = self.core.outcome();
         PartialSolution {
             round: self.steps,
-            items: run.items,
+            items: self.global(run.items),
             group_sums: Vec::new(),
             objective: run.value,
             oracle_calls: run.oracle_calls,
@@ -931,10 +982,11 @@ impl SolveSession for SieveSession {
         }
         // Mirrors `SieveStreamingSolver::solve` field for field.
         let run = self.core.outcome();
+        let items = self.global(run.items);
         let erased = ErasedSystem(system);
-        let eval = evaluate(&erased, &run.items);
+        let eval = evaluate(&erased, &items);
         let mut report =
-            SolveReport::from_eval(self.solver(), k, self.tau, run.items, &eval, run.value)
+            SolveReport::from_eval(self.solver(), k, self.tau, items, &eval, run.value)
                 .note("candidates", run.candidates as f64);
         report.oracle_calls = run.oracle_calls;
         report.gain_kernel = system.dyn_gain_kernel().to_string();

@@ -1,7 +1,7 @@
 //! The sharded solve tier: instances too large for one oracle build,
 //! represented as per-shard oracles plus a merge phase.
 //!
-//! A [`ShardedInstance`] holds `p` independent [`ShardOracle`]s — each a
+//! A [`ShardedInstance`] holds `p` independent shard oracles — each a
 //! type-erased [`DynUtilitySystem`] over only its shard's items (local
 //! ids `0..len` mapped to ascending global ids) — and a merge builder
 //! that can materialize an oracle over any small global-id subset (the
@@ -9,16 +9,15 @@
 //! the full ground set ever exists.
 //!
 //! [`ShardedInstance::solve_greedi`] runs two-round GreeDi over that
-//! representation: round 1 greedily solves every shard against its own
-//! sub-oracle (in parallel — the fold over shard results stays in shard
-//! order, so thread count never changes the outcome), round 2 runs the
-//! same restricted greedy over the union candidate pool against the
-//! merge oracle, and the final answer is the better of round 2 and the
-//! best single shard — exactly the decision rule of
-//! [`crate::algorithms::distributed::greedi`].
-//! [`ShardedInstance::solve_sieve`] streams the sorted union of all
-//! shard members through the same `SieveCore` the centralized solver
-//! drives, against the merge oracle over that union.
+//! representation by stepping the one GreeDi fold of
+//! [`crate::algorithms::distributed`] in shard order: round 1 runs
+//! greedy on each shard against its own sub-oracle, round 2 on the union
+//! candidate pool against the merge oracle, and the final answer is the
+//! better of round 2 and the best single shard — the decision rule
+//! [`crate::algorithms::distributed::greedi`] steps over a central
+//! system. [`ShardedInstance::solve_sieve`] streams the sorted union of
+//! all shard members through the same `SieveCore` the centralized
+//! solver drives, against the merge oracle over that union.
 //!
 //! **Determinism invariant (DESIGN.md §8):** when the shard members come
 //! from [`shard_partition`] with the same `(n, p, seed)`, and every
@@ -41,32 +40,28 @@
 //! on each oracle), which plug in through
 //! [`ShardedInstance::from_restrictor`].
 //!
-//! The daemon serves this tier through the two native sessions here:
-//! [`ShardedGreediSession`] steps one shard per `step()` (then one merge
-//! step), [`ShardedSieveSession`] streams one union arrival per step.
-//! Both own their sharded oracles and *ignore* the system passed to
-//! `step`, but evaluate their `solution_at`/`finish` reports against the
-//! passed (centralized) system — so a parked daemon session produces a
-//! report byte-identical to the centralized solver's.
+//! The daemon serves this tier through the engine's own sessions:
+//! [`super::session::GreediSession::sharded`] steps one shard per
+//! `step()` (then one merge step), and
+//! [`super::session::SieveSession::sharded`] streams one union arrival
+//! per step. Both own their sharded oracles and *ignore* the system
+//! passed to `step`, but evaluate their `solution_at`/`finish` reports
+//! against the passed (centralized) system — so a parked daemon session
+//! produces a report byte-identical to the centralized solver's.
 
 use std::sync::Arc;
 
 use rayon::prelude::*;
 
 use crate::aggregate::MeanUtility;
-use crate::algorithms::distributed::{
-    greedy_over_subset, merge_outcome, shard_partition, GreediOutcome,
-};
-use crate::algorithms::greedy::GreedyVariant;
+use crate::algorithms::distributed::{shard_partition, GreediFold, GreediOutcome};
+use crate::algorithms::greedy::{greedy, GreedyConfig, GreedyOutcome, GreedyVariant};
 use crate::algorithms::streaming::{SieveConfig, SieveCore, SieveOutcome};
 use crate::items::ItemId;
-use crate::metrics::evaluate;
 use crate::system::UtilitySystem;
 
 use super::erased::{DynState, DynUtilitySystem, ErasedSystem};
-use super::params::ScenarioParams;
-use super::report::{SolveReport, SolverError};
-use super::session::{PartialSolution, SessionStatus, SolveSession};
+use super::report::SolverError;
 
 /// Checks one shard's member list against the shard-oracle contract:
 /// non-empty, strictly ascending (which implies deduplicated), and every
@@ -240,7 +235,7 @@ pub struct ShardOracle {
 /// the round-2 candidate pool. Receives at most `p·k` ids.
 pub type MergeBuilder = Box<dyn Fn(&[ItemId]) -> Arc<dyn DynUtilitySystem> + Send + Sync>;
 
-/// Builds shard `s`'s oracle on demand for an out-of-core instance —
+/// Builds shard `s`'s oracle on demand — for an out-of-core instance,
 /// typically by loading a spilled `CsrSlice` back from the scratch dir
 /// and constructing the substrate oracle over it. Must be
 /// deterministic: the same `(shard, members)` must produce an oracle
@@ -249,35 +244,17 @@ pub type MergeBuilder = Box<dyn Fn(&[ItemId]) -> Arc<dyn DynUtilitySystem> + Sen
 pub type ShardBuilder =
     Box<dyn Fn(usize, &[ItemId]) -> Result<Arc<dyn DynUtilitySystem>, SolverError> + Send + Sync>;
 
-/// How a [`ShardedInstance`] holds shard oracles between GreeDi rounds
-/// (DESIGN.md §11).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpillPolicy {
-    /// Every shard oracle stays resident for the instance's lifetime —
-    /// the default, fastest when the shard sum fits in memory.
-    InCore,
-    /// Only the *active* shard's oracle is resident: non-active shard
-    /// payloads live in the scratch dir (spilled slices), each shard is
-    /// materialized from its [`ShardBuilder`] when its round-1 step
-    /// runs and dropped as soon as the step finishes — so peak RSS
-    /// tracks the largest single shard plus the merge pool, not the
-    /// shard sum.
-    OutOfCore,
-}
-
 /// A large instance represented as per-shard oracles plus a merge
 /// builder; see the module docs for the determinism contract.
 ///
-/// Shard oracles are held according to a [`SpillPolicy`]: resident
-/// ([`ShardedInstance::new`] and friends) or rebuilt on demand from a
-/// [`ShardBuilder`] ([`ShardedInstance::out_of_core`]).
+/// Every shard oracle is reached through one [`ShardBuilder`]: for
+/// [`ShardedInstance::new`] and friends it hands out the resident
+/// oracles, for [`ShardedInstance::out_of_core`] it rebuilds each shard
+/// from scratch storage when its round-1 step runs (DESIGN.md §11).
 pub struct ShardedInstance {
     /// Ascending global ids per shard.
     members: Vec<Vec<ItemId>>,
-    /// Resident shard oracles (in-core policy); empty when out-of-core.
-    resident: Vec<Arc<dyn DynUtilitySystem>>,
-    /// On-demand shard builder (out-of-core policy).
-    build: Option<ShardBuilder>,
+    build: ShardBuilder,
     merge: MergeBuilder,
 }
 
@@ -316,11 +293,12 @@ impl ShardedInstance {
                 )));
             }
         }
-        let (members, resident) = shards.into_iter().map(|s| (s.members, s.system)).unzip();
+        let (members, resident): (Vec<_>, Vec<_>) =
+            shards.into_iter().map(|s| (s.members, s.system)).unzip();
+        let build: ShardBuilder = Box::new(move |s, _| Ok(Arc::clone(&resident[s])));
         Ok(Self {
             members,
-            resident,
-            build: None,
+            build,
             merge,
         })
     }
@@ -334,7 +312,7 @@ impl ShardedInstance {
     /// ascending); the builder's output is validated lazily at each
     /// materialization (item count must match the member list). Builder
     /// failures surface as typed errors through
-    /// [`ShardedInstance::try_solve_greedi`] and the sharded sessions —
+    /// [`ShardedInstance::solve_greedi`] and the sharded GreeDi session —
     /// a corrupt scratch dir must never panic a solve.
     pub fn out_of_core(
         members: Vec<Vec<ItemId>>,
@@ -360,44 +338,29 @@ impl ShardedInstance {
         }
         Ok(Self {
             members,
-            resident: Vec::new(),
-            build: Some(build),
+            build,
             merge,
         })
     }
 
-    /// The instance's shard-residency policy.
-    pub fn spill_policy(&self) -> SpillPolicy {
-        if self.build.is_some() {
-            SpillPolicy::OutOfCore
-        } else {
-            SpillPolicy::InCore
-        }
-    }
-
-    /// Materializes shard `s`'s oracle: the resident `Arc` under
-    /// [`SpillPolicy::InCore`], a fresh build from the scratch dir under
-    /// [`SpillPolicy::OutOfCore`] — the caller drops the returned `Arc`
-    /// to release the shard, which is what keeps only one shard resident
-    /// at a time during a stepped out-of-core solve.
+    /// Materializes shard `s`'s oracle: the resident `Arc`, or a fresh
+    /// build from the scratch dir for an out-of-core instance — the
+    /// caller drops the returned `Arc` to release the shard, which is
+    /// what keeps only one rebuilt shard resident at a time during a
+    /// solve.
     pub fn shard_system(&self, s: usize) -> Result<Arc<dyn DynUtilitySystem>, SolverError> {
-        match &self.build {
-            None => Ok(Arc::clone(&self.resident[s])),
-            Some(build) => {
-                let system = build(s, &self.members[s])?;
-                if system.dyn_num_items() != self.members[s].len() {
-                    return Err(SolverError::InvalidParams {
-                        solver: "ShardedInstance".into(),
-                        message: format!(
-                            "shard {s} builder produced {} items for {} members",
-                            system.dyn_num_items(),
-                            self.members[s].len()
-                        ),
-                    });
-                }
-                Ok(system)
-            }
+        let system = (self.build)(s, &self.members[s])?;
+        if system.dyn_num_items() != self.members[s].len() {
+            return Err(SolverError::InvalidParams {
+                solver: "ShardedInstance".into(),
+                message: format!(
+                    "shard {s} builder produced {} items for {} members",
+                    system.dyn_num_items(),
+                    self.members[s].len()
+                ),
+            });
         }
+        Ok(system)
     }
 
     /// Partitions the ground set `0..n` with [`shard_partition`] and
@@ -418,13 +381,9 @@ impl ShardedInstance {
     where
         F: Fn(&[ItemId]) -> Result<Arc<dyn DynUtilitySystem>, SolverError> + Send + Sync + 'static,
     {
-        let mut partition = shard_partition(n, shards, seed);
-        for members in &mut partition {
-            members.sort_unstable();
-        }
         // Embarrassingly parallel shard builds: each restriction touches
         // only its own members' rows.
-        let shard_oracles = partition
+        let shard_oracles = shard_partition(n, shards, seed)
             .into_par_iter()
             .map(|members| {
                 let system = restrict(&members)?;
@@ -496,95 +455,35 @@ impl ShardedInstance {
     /// docs for the bit-identity contract with
     /// [`crate::algorithms::distributed::greedi`].
     ///
-    /// Round 1 runs shards in parallel; results are folded in shard
-    /// order, so the outcome is identical at every thread count.
-    ///
-    /// Panics if a shard builder fails (only possible for
-    /// [`SpillPolicy::OutOfCore`] instances); use
-    /// [`Self::try_solve_greedi`] to handle scratch-I/O errors.
-    pub fn solve_greedi(&self, k: usize, variant: GreedyVariant) -> GreediOutcome {
-        self.try_solve_greedi(k, variant)
-            .expect("in-core sharded GreeDi cannot fail to materialize a shard")
-    }
-
-    /// Fallible [`Self::solve_greedi`]: out-of-core instances rebuild
-    /// each shard oracle from scratch storage, which can fail with a
-    /// typed error instead of a panic.
-    ///
-    /// For [`SpillPolicy::OutOfCore`] instances round 1 runs the shards
-    /// *sequentially*, holding exactly one rebuilt shard oracle at a
-    /// time, so peak memory tracks the largest single shard instead of
-    /// the sum. The fold is in shard order either way, so the outcome
-    /// is bit-identical across policies and thread counts.
-    pub fn try_solve_greedi(
+    /// Steps the GreeDi fold in shard order, exactly as the sharded
+    /// GreeDi session does, so an out-of-core instance holds one rebuilt
+    /// shard oracle at a time. A shard build that fails (scratch I/O)
+    /// is a typed error, never a panic.
+    pub fn solve_greedi(
         &self,
         k: usize,
         variant: GreedyVariant,
     ) -> Result<GreediOutcome, SolverError> {
-        // Round 1: independent restricted greedy per shard, mapped back
-        // to global ids.
-        let run_shard =
-            |members: &[ItemId], system: &Arc<dyn DynUtilitySystem>| -> (Vec<ItemId>, u64, f64) {
-                let erased = ErasedSystem(system.as_ref());
-                let f = MeanUtility::new(system.dyn_num_users());
-                let locals: Vec<ItemId> = (0..members.len() as ItemId).collect();
-                let run = greedy_over_subset(&erased, &f, &locals, k, variant.clone());
-                let globals: Vec<ItemId> = run.0.iter().map(|&j| members[j as usize]).collect();
-                (globals, run.1, run.2)
-            };
-        let runs: Vec<(Vec<ItemId>, u64, f64)> = match self.spill_policy() {
-            SpillPolicy::InCore => self
-                .members
-                .iter()
-                .zip(self.resident.iter())
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|(members, system)| run_shard(members, system))
-                .collect(),
-            SpillPolicy::OutOfCore => {
-                // One shard resident at a time: materialize, solve,
-                // drop before touching the next.
-                let mut runs = Vec::with_capacity(self.num_shards());
-                for s in 0..self.num_shards() {
-                    let system = self.shard_system(s)?;
-                    runs.push(run_shard(&self.members[s], &system));
-                }
-                runs
-            }
-        };
+        let mut fold = GreediFold::new(k, self.num_shards(), &variant);
+        while self.step_greedi(&mut fold)? {}
+        Ok(fold.into_outcome())
+    }
 
-        let mut oracle_calls = 0u64;
-        let mut pool: Vec<ItemId> = Vec::with_capacity(self.num_shards() * k);
-        let mut best_shard: (f64, Vec<ItemId>) = (f64::NEG_INFINITY, Vec::new());
-        for run in runs {
-            oracle_calls += run.1;
-            let value = run.2;
-            if value > best_shard.0 {
-                best_shard = (value, run.0.clone());
-            }
-            pool.extend(run.0);
-        }
-
-        // Round 2 over the union pool against the merge oracle. The
-        // pool is sorted/deduplicated here (in global-id order) exactly
-        // as `greedy_over_subset` would, so local ids in the merge
-        // oracle scan in the same order the centralized round 2 scans
-        // global ids.
-        pool.sort_unstable();
-        pool.dedup();
-        let merge_system = (self.merge)(&pool);
-        debug_assert_eq!(merge_system.dyn_num_items(), pool.len());
-        let erased = ErasedSystem(merge_system.as_ref());
-        let f = MeanUtility::new(merge_system.dyn_num_users());
-        let locals: Vec<ItemId> = (0..pool.len() as ItemId).collect();
-        let run2 = greedy_over_subset(&erased, &f, &locals, k, variant);
-        oracle_calls += run2.1;
-        let globals2: Vec<ItemId> = run2.0.iter().map(|&j| pool[j as usize]).collect();
-        Ok(merge_outcome(
-            (globals2, run2.1, run2.2),
-            best_shard,
-            oracle_calls,
-        ))
+    /// Runs `fold`'s next round on this instance's own oracles: round 1
+    /// on the next shard's oracle (materialized for the round, then
+    /// dropped), round 2 on a merge oracle over the pool. Returns whether
+    /// more rounds remain.
+    pub(crate) fn step_greedi(&self, fold: &mut GreediFold) -> Result<bool, SolverError> {
+        fold.step(
+            |s, cfg| {
+                Ok(greedy_mapped(
+                    self.shard_system(s)?.as_ref(),
+                    cfg,
+                    &self.members[s],
+                ))
+            },
+            |pool, cfg| Ok(greedy_mapped((self.merge)(pool).as_ref(), cfg, pool)),
+        )
     }
 
     /// Sieve-Streaming over the sharded representation: streams the
@@ -608,323 +507,25 @@ impl ShardedInstance {
     }
 }
 
-/// Native GreeDi session over a [`ShardedInstance`]: one shard's
-/// restricted greedy per step, then one merge step — the daemon's
-/// `POST /solve/anytime` path for instances held as shard oracles.
-///
-/// Unlike [`super::session::GreediSession`], this session *owns* its
-/// oracles (inside the instance) and ignores the system passed to
-/// `step`; only `solution_at`/`finish` use the passed (centralized)
-/// system, to evaluate the final item set and stamp the gain kernel —
-/// which makes the finish report byte-identical to the centralized
-/// `GreeDi` solver's for the same recipe.
-pub struct ShardedGreediSession {
-    instance: Arc<ShardedInstance>,
-    tau: f64,
-    k: usize,
-    shards: usize,
-    variant: GreedyVariant,
-    next_shard: usize,
-    oracle_calls: u64,
-    pool: Vec<ItemId>,
-    best_shard: (f64, Vec<ItemId>),
-    outcome: Option<GreediOutcome>,
-    /// First shard-build failure (out-of-core scratch I/O); terminal —
-    /// surfaced by `solution_at`/`finish` instead of a panic.
-    failure: Option<SolverError>,
-    steps: usize,
-}
-
-impl ShardedGreediSession {
-    /// Opens a session over `instance` (parameters must already be
-    /// validated; no oracle work until the first step). The instance's
-    /// own shard count drives the schedule — `params.shards` is ignored
-    /// here because the partition is already baked into the instance.
-    pub fn open(instance: Arc<ShardedInstance>, params: &ScenarioParams) -> Self {
-        let shards = instance.num_shards();
-        Self {
-            instance,
-            tau: params.tau,
-            k: params.k,
-            shards,
-            variant: params.variant.clone(),
-            next_shard: 0,
-            oracle_calls: 0,
-            pool: Vec::with_capacity(shards * params.k),
-            best_shard: (f64::NEG_INFINITY, Vec::new()),
-            outcome: None,
-            failure: None,
-            steps: 0,
-        }
+/// One GreeDi round on an owned oracle whose local item `j` is global
+/// item `ids[j]`, reported in global ids.
+fn greedy_mapped(
+    system: &dyn DynUtilitySystem,
+    cfg: &GreedyConfig,
+    ids: &[ItemId],
+) -> GreedyOutcome {
+    let f = MeanUtility::new(system.dyn_num_users());
+    let mut run = greedy(&ErasedSystem(system), &f, cfg);
+    for item in &mut run.items {
+        *item = ids[*item as usize];
     }
-}
-
-impl SolveSession for ShardedGreediSession {
-    fn solver(&self) -> &'static str {
-        "GreeDi"
-    }
-
-    fn done(&self) -> bool {
-        self.outcome.is_some() || self.failure.is_some()
-    }
-
-    fn rounds(&self) -> usize {
-        self.steps
-    }
-
-    fn step(&mut self, system: &dyn DynUtilitySystem) -> SessionStatus {
-        // The sharded session owns its oracles; the passed system is
-        // only used by `solution_at`.
-        let _ = system;
-        if self.done() {
-            // Post-done steps are no-ops and must not inflate the round
-            // counter (finish() always issues one trailing step).
-            return SessionStatus::Done;
-        }
-        if self.next_shard < self.instance.num_shards() {
-            // Round 1, one shard: exactly the fold `solve_greedi`
-            // performs, against the shard's own sub-oracle. Out-of-core
-            // instances rebuild the oracle from scratch storage here
-            // and drop it at the end of the step, so only one shard is
-            // ever resident between steps.
-            let system = match self.instance.shard_system(self.next_shard) {
-                Ok(system) => system,
-                Err(err) => {
-                    self.failure = Some(err);
-                    return SessionStatus::Done;
-                }
-            };
-            let members = self.instance.shard_members(self.next_shard);
-            let erased = ErasedSystem(system.as_ref());
-            let f = MeanUtility::new(system.dyn_num_users());
-            let locals: Vec<ItemId> = (0..members.len() as ItemId).collect();
-            let run = greedy_over_subset(&erased, &f, &locals, self.k, self.variant.clone());
-            let globals: Vec<ItemId> = run.0.iter().map(|&j| members[j as usize]).collect();
-            self.oracle_calls += run.1;
-            let value = run.2;
-            if value > self.best_shard.0 {
-                self.best_shard = (value, globals.clone());
-            }
-            self.pool.extend(globals);
-            self.next_shard += 1;
-            self.steps += 1;
-            SessionStatus::Running
-        } else {
-            // Round 2 on the merged pool against the merge oracle, then
-            // the final comparison.
-            self.pool.sort_unstable();
-            self.pool.dedup();
-            let merge_system = (self.instance.merge)(&self.pool);
-            let erased = ErasedSystem(merge_system.as_ref());
-            let f = MeanUtility::new(merge_system.dyn_num_users());
-            let locals: Vec<ItemId> = (0..self.pool.len() as ItemId).collect();
-            let run2 = greedy_over_subset(&erased, &f, &locals, self.k, self.variant.clone());
-            self.oracle_calls += run2.1;
-            let globals2: Vec<ItemId> = run2.0.iter().map(|&j| self.pool[j as usize]).collect();
-            self.outcome = Some(merge_outcome(
-                (globals2, run2.1, run2.2),
-                self.best_shard.clone(),
-                self.oracle_calls,
-            ));
-            self.steps += 1;
-            SessionStatus::Done
-        }
-    }
-
-    fn snapshot(&self) -> PartialSolution {
-        let (items, objective) = match &self.outcome {
-            Some(run) => (run.items.clone(), run.value),
-            None if self.best_shard.0.is_finite() => (self.best_shard.1.clone(), self.best_shard.0),
-            None => (Vec::new(), 0.0),
-        };
-        PartialSolution {
-            round: self.steps,
-            items,
-            group_sums: Vec::new(),
-            objective,
-            oracle_calls: self.oracle_calls,
-            done: self.done(),
-        }
-    }
-
-    fn solution_at(
-        &self,
-        system: &dyn DynUtilitySystem,
-        k: usize,
-    ) -> Result<SolveReport, SolverError> {
-        if let Some(err) = &self.failure {
-            return Err(SolverError::InvalidParams {
-                solver: self.solver().to_string(),
-                message: format!("shard materialization failed: {err}"),
-            });
-        }
-        let run = match (k == self.k, &self.outcome) {
-            (true, Some(run)) => run,
-            (false, _) => {
-                return Err(SolverError::InvalidParams {
-                    solver: self.solver().to_string(),
-                    message: format!(
-                        "GreeDi sessions only serve their own budget k = {} (asked {k})",
-                        self.k
-                    ),
-                })
-            }
-            (_, None) => {
-                return Err(SolverError::InvalidParams {
-                    solver: self.solver().to_string(),
-                    message: "session not finished; step it to completion first".into(),
-                })
-            }
-        };
-        // Mirrors `GreediSolver::solve` field for field.
-        let erased = ErasedSystem(system);
-        let eval = evaluate(&erased, &run.items);
-        let mut report = SolveReport::from_eval(
-            self.solver(),
-            k,
-            self.tau,
-            run.items.clone(),
-            &eval,
-            run.value,
-        )
-        .note("shards", self.shards as f64)
-        .note("best_shard_value", run.best_shard_value);
-        report.oracle_calls = run.oracle_calls;
-        report.gain_kernel = system.dyn_gain_kernel().to_string();
-        Ok(report)
-    }
-
-    fn finish(&mut self, system: &dyn DynUtilitySystem) -> Result<SolveReport, SolverError> {
-        while self.step(system) == SessionStatus::Running {}
-        self.solution_at(system, self.k)
-    }
-}
-
-/// Native Sieve-Streaming session over a [`ShardedInstance`]: one union
-/// arrival per step, against the instance's merge oracle over the
-/// sorted union of shard members.
-///
-/// Owns its oracle like [`ShardedGreediSession`] and uses the passed
-/// (centralized) system only for the final report evaluation, so the
-/// finish report is byte-identical to the centralized `SieveStreaming`
-/// solver's for the same recipe.
-pub struct ShardedSieveSession {
-    tau: f64,
-    k: usize,
-    union: Vec<ItemId>,
-    system: Arc<dyn DynUtilitySystem>,
-    core: SieveCore<DynState>,
-    steps: usize,
-}
-
-impl ShardedSieveSession {
-    /// Opens a session over `instance` (parameters must already be
-    /// validated). Materializes the union merge oracle once.
-    pub fn open(instance: &ShardedInstance, params: &ScenarioParams) -> Self {
-        let (union, system) = instance.union_system();
-        let cfg = SieveConfig {
-            k: params.k,
-            epsilon: params.epsilon,
-        };
-        let core = SieveCore::new(&ErasedSystem(system.as_ref()), &cfg);
-        Self {
-            tau: params.tau,
-            k: params.k,
-            union,
-            system,
-            core,
-            steps: 0,
-        }
-    }
-}
-
-impl SolveSession for ShardedSieveSession {
-    fn solver(&self) -> &'static str {
-        "SieveStreaming"
-    }
-
-    fn done(&self) -> bool {
-        self.core.done()
-    }
-
-    fn rounds(&self) -> usize {
-        self.steps
-    }
-
-    fn step(&mut self, system: &dyn DynUtilitySystem) -> SessionStatus {
-        // The sharded session streams against its own union oracle; the
-        // passed system is only used by `solution_at`.
-        let _ = system;
-        if self.core.done() {
-            // Post-done steps are no-ops and must not inflate the round
-            // counter (finish() always issues one trailing step).
-            return SessionStatus::Done;
-        }
-        let erased = ErasedSystem(self.system.as_ref());
-        let f = MeanUtility::new(self.system.dyn_num_users());
-        self.core.step(&erased, &f);
-        self.steps += 1;
-        if self.core.done() {
-            SessionStatus::Done
-        } else {
-            SessionStatus::Running
-        }
-    }
-
-    fn snapshot(&self) -> PartialSolution {
-        let run = self.core.outcome();
-        let items: Vec<ItemId> = run.items.iter().map(|&j| self.union[j as usize]).collect();
-        PartialSolution {
-            round: self.steps,
-            items,
-            group_sums: Vec::new(),
-            objective: run.value,
-            oracle_calls: run.oracle_calls,
-            done: self.core.done(),
-        }
-    }
-
-    fn solution_at(
-        &self,
-        system: &dyn DynUtilitySystem,
-        k: usize,
-    ) -> Result<SolveReport, SolverError> {
-        if k != self.k {
-            return Err(SolverError::InvalidParams {
-                solver: self.solver().to_string(),
-                message: format!(
-                    "SieveStreaming sessions only serve their own budget k = {} (asked {k})",
-                    self.k
-                ),
-            });
-        }
-        if !self.core.done() {
-            return Err(SolverError::InvalidParams {
-                solver: self.solver().to_string(),
-                message: "session not finished; step it to completion first".into(),
-            });
-        }
-        // Mirrors `SieveStreamingSolver::solve` field for field.
-        let run = self.core.outcome();
-        let items: Vec<ItemId> = run.items.iter().map(|&j| self.union[j as usize]).collect();
-        let erased = ErasedSystem(system);
-        let eval = evaluate(&erased, &items);
-        let mut report =
-            SolveReport::from_eval(self.solver(), k, self.tau, items, &eval, run.value)
-                .note("candidates", run.candidates as f64);
-        report.oracle_calls = run.oracle_calls;
-        report.gain_kernel = system.dyn_gain_kernel().to_string();
-        Ok(report)
-    }
-
-    fn finish(&mut self, system: &dyn DynUtilitySystem) -> Result<SolveReport, SolverError> {
-        while self.step(system) == SessionStatus::Running {}
-        self.solution_at(system, self.k)
-    }
+    run
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::params::ScenarioParams;
+    use super::super::session::{GreediSession, SieveSession, SolveSession};
     use super::*;
     use crate::algorithms::distributed::{greedi, GreediConfig};
     use crate::algorithms::greedy::{greedy, GreedyConfig};
@@ -963,7 +564,9 @@ mod tests {
             for shards in [1usize, 2, 4, 8] {
                 let instance = ShardedInstance::from_central(Arc::clone(&base), shards, seed)
                     .expect("valid sharding");
-                let sharded = instance.solve_greedi(6, GreedyVariant::Lazy);
+                let sharded = instance
+                    .solve_greedi(6, GreedyVariant::Lazy)
+                    .expect("resident shards");
                 let mut cfg = GreediConfig::new(6);
                 cfg.shards = shards;
                 cfg.seed = seed;
@@ -1003,7 +606,9 @@ mod tests {
     fn single_shard_solve_equals_centralized_greedy_value() {
         let base = central(7);
         let instance = ShardedInstance::from_central(Arc::clone(&base), 1, 0).unwrap();
-        let out = instance.solve_greedi(5, GreedyVariant::Naive);
+        let out = instance
+            .solve_greedi(5, GreedyVariant::Naive)
+            .expect("resident shards");
         let erased = ErasedSystem(base.as_ref());
         let f = MeanUtility::new(base.dyn_num_users());
         let plain = greedy(&erased, &f, &GreedyConfig::naive(5));
@@ -1022,17 +627,19 @@ mod tests {
             p
         };
 
-        let mut session = ShardedGreediSession::open(Arc::clone(&instance), &params);
+        let mut session = GreediSession::sharded(Arc::clone(&instance), &params);
         assert_eq!(session.rounds(), 0);
         let report = session.finish(base.as_ref()).expect("finishes");
         // One step per shard + one merge step.
         assert_eq!(session.rounds(), 5);
-        let one_shot = instance.solve_greedi(6, params.variant.clone());
+        let one_shot = instance
+            .solve_greedi(6, params.variant.clone())
+            .expect("resident shards");
         assert_eq!(report.items, one_shot.items);
         assert_eq!(report.objective.to_bits(), one_shot.value.to_bits());
         assert_eq!(report.oracle_calls, one_shot.oracle_calls);
 
-        let mut sieve = ShardedSieveSession::open(&instance, &params);
+        let mut sieve = SieveSession::sharded(&instance, &params);
         let report = sieve.finish(base.as_ref()).expect("finishes");
         let cfg = SieveConfig {
             k: 6,
@@ -1053,7 +660,6 @@ mod tests {
                 let base = central(seed);
                 let in_core = ShardedInstance::from_central(Arc::clone(&base), shards, seed)
                     .expect("valid sharding");
-                assert_eq!(in_core.spill_policy(), SpillPolicy::InCore);
                 let members: Vec<Vec<ItemId>> = (0..in_core.num_shards())
                     .map(|s| in_core.shard_members(s).to_vec())
                     .collect();
@@ -1070,11 +676,12 @@ mod tests {
                 });
                 let out_of_core =
                     ShardedInstance::out_of_core(members, build, merge).expect("valid shards");
-                assert_eq!(out_of_core.spill_policy(), SpillPolicy::OutOfCore);
 
-                let a = in_core.solve_greedi(6, GreedyVariant::Lazy);
+                let a = in_core
+                    .solve_greedi(6, GreedyVariant::Lazy)
+                    .expect("resident shards");
                 let b = out_of_core
-                    .try_solve_greedi(6, GreedyVariant::Lazy)
+                    .solve_greedi(6, GreedyVariant::Lazy)
                     .expect("builder cannot fail here");
                 assert_eq!(a.items, b.items, "seed {seed} p {shards}");
                 assert_eq!(a.value.to_bits(), b.value.to_bits());
@@ -1089,7 +696,7 @@ mod tests {
                     p.shards = shards;
                     p
                 };
-                let mut session = ShardedGreediSession::open(Arc::new(out_of_core), &params);
+                let mut session = GreediSession::sharded(Arc::new(out_of_core), &params);
                 let report = session.finish(base.as_ref()).expect("finishes");
                 assert_eq!(report.items, a.items);
                 assert_eq!(report.objective.to_bits(), a.value.to_bits());
@@ -1116,7 +723,7 @@ mod tests {
             Arc::new(SubsetSystem::new(Arc::clone(&merge_base), pool.to_vec()).unwrap())
         });
         let broken = ShardedInstance::out_of_core(members, build, merge).expect("members valid");
-        assert!(broken.try_solve_greedi(4, GreedyVariant::Lazy).is_err());
+        assert!(broken.solve_greedi(4, GreedyVariant::Lazy).is_err());
 
         // The stepped session surfaces the failure as a typed error
         // through finish(), never a panic.
@@ -1125,7 +732,7 @@ mod tests {
             p.shards = 3;
             p
         };
-        let mut session = ShardedGreediSession::open(Arc::new(broken), &params);
+        let mut session = GreediSession::sharded(Arc::new(broken), &params);
         let err = session.finish(base.as_ref());
         assert!(err.is_err(), "builder failure must surface from finish()");
         assert!(session.done());

@@ -17,15 +17,6 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Gap between the best- and worst-served group, `max_i f_i − min_i f_i`.
-    pub fn group_gap(&self) -> f64 {
-        let max = self
-            .group_means
-            .iter()
-            .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-        max - self.g
-    }
-
     /// Whether the BSM fairness constraint `g(S) ≥ τ·opt_g` holds
     /// (with a small numerical slack).
     pub fn satisfies(&self, tau: f64, opt_g: f64) -> bool {
@@ -102,7 +93,6 @@ mod tests {
         };
         assert!(e.satisfies(0.9, 0.5555));
         assert!(!e.satisfies(1.0, 0.6));
-        assert!((e.group_gap() - 0.4).abs() < 1e-12);
     }
 
     #[test]

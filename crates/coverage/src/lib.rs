@@ -1,6 +1,6 @@
 //! # fair-submod-coverage
 //!
-//! Maximum-coverage (MC) substrate: weighted bipartite set systems, the
+//! Maximum-coverage (MC) substrate: bipartite set systems, the
 //! dominating-set construction used by the paper (`S(v) = N_out(v) ∪ {v}`
 //! per node `v`), and [`CoverageOracle`] — the
 //! [`UtilitySystem`](fair_submod_core::system::UtilitySystem)
@@ -39,13 +39,10 @@
 //! assert!(fair.eval.g > 0.0);
 //! ```
 
-pub mod builders;
 pub mod dominating;
 pub mod oracle;
 pub mod set_system;
-pub mod weighted;
 
 pub use dominating::{dominating_set_system, dominating_slice_system};
 pub use oracle::{CoverageOracle, UnpackedCoverageOracle};
 pub use set_system::SetSystem;
-pub use weighted::WeightedCoverageOracle;

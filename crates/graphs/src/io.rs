@@ -1,8 +1,7 @@
-//! Edge-list and group-assignment I/O.
+//! Edge-list I/O.
 //!
-//! Plain whitespace-separated text: one `src dst` pair per line for
-//! edges, one group index per line for assignments. Lines starting with
-//! `#` are comments. This is the format of the SNAP datasets the paper
+//! Plain whitespace-separated text: one `src dst` pair per line. Lines
+//! starting with `#` are comments. This is the format of the SNAP datasets the paper
 //! uses, so real data can be dropped in when available.
 //!
 //! Two reading paths share one line parser:
@@ -17,7 +16,6 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 use crate::csr::{CsrSlice, Graph, GraphBuilder, NodeId};
-use crate::groups::Groups;
 
 /// Parses one edge-list line: `None` for blanks and `#` comments,
 /// `Some((u, v))` for an edge. `lineno` is 1-based and only used for
@@ -262,33 +260,6 @@ pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> std::io::Result<()
     w.flush()
 }
 
-/// Reads a group assignment (one index per line).
-pub fn read_groups<R: Read>(reader: R) -> std::io::Result<Groups> {
-    let reader = BufReader::new(reader);
-    let mut assignment = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let g: u32 = line.parse().map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed group index")
-        })?;
-        assignment.push(g);
-    }
-    Ok(Groups::from_assignment(assignment))
-}
-
-/// Writes a group assignment.
-pub fn write_groups<W: Write>(groups: &Groups, writer: W) -> std::io::Result<()> {
-    let mut w = BufWriter::new(writer);
-    for &g in groups.assignment() {
-        writeln!(w, "{g}")?;
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,15 +289,6 @@ mod tests {
     fn malformed_edges_error() {
         assert!(read_edge_list("0 x\n".as_bytes(), 3, true).is_err());
         assert!(read_edge_list("0 9\n".as_bytes(), 3, true).is_err());
-    }
-
-    #[test]
-    fn groups_roundtrip() {
-        let g = Groups::from_assignment(vec![0, 1, 0, 2]);
-        let mut buf = Vec::new();
-        write_groups(&g, &mut buf).unwrap();
-        let g2 = read_groups(&buf[..]).unwrap();
-        assert_eq!(g.assignment(), g2.assignment());
     }
 
     /// Chunked and whole-file reads must agree for every chunk size,

@@ -4,9 +4,8 @@
 //! and linear-threshold (LT) diffusion models (Kempe et al., 2003),
 //! forward Monte-Carlo spread estimation (rayon-parallel; the paper uses
 //! 10,000 runs per reported value), reverse-reachable (RR) set sampling
-//! (Borgs et al., 2014), an IMM-style sample-size schedule (Tang et al.,
-//! 2015), and [`RisOracle`] — the group-aware RIS estimator that plugs IM
-//! into the BSM algorithm suite as a
+//! (Borgs et al., 2014), and [`RisOracle`] — the group-aware RIS
+//! estimator that plugs IM into the BSM algorithm suite as a
 //! [`UtilitySystem`](fair_submod_core::system::UtilitySystem).
 //!
 //! ## Estimator design
@@ -55,7 +54,6 @@
 //! assert!(eval.f > 0.0 && eval.g > 0.0);
 //! ```
 
-pub mod imm;
 pub mod models;
 pub mod oracle;
 pub mod rr;

@@ -19,9 +19,10 @@ use rayon::prelude::*;
 
 use fair_submod_bench::harness::{run_suite, GridConfig};
 use fair_submod_bench::scenario::{cell_to_json, DatasetRecipe, GridJob, SubstrateSpec};
+use fair_submod_core::engine::session::{GreediSession, SieveSession};
 use fair_submod_core::engine::{
-    MergeBuilder, ScenarioParams, ShardOracle, ShardedGreediSession, ShardedInstance,
-    ShardedSieveSession, SolveSession, SolverError, SolverRegistry,
+    MergeBuilder, ScenarioParams, ShardOracle, ShardedInstance, SolveSession, SolverError,
+    SolverRegistry,
 };
 use fair_submod_core::prelude::shard_partition;
 
@@ -297,10 +298,7 @@ impl ServiceState {
                 params.epsilon
             )));
         }
-        let mut partition = shard_partition(central.num_items, num_shards, params.seed);
-        for members in &mut partition {
-            members.sort_unstable();
-        }
+        let partition = shard_partition(central.num_items, num_shards, params.seed);
         let max = self.quotas.config().max_instances;
         let seed = params.seed;
         let indexed: Vec<(usize, Vec<u32>)> = partition.into_iter().enumerate().collect();
@@ -365,8 +363,8 @@ impl ServiceState {
         params: &ScenarioParams,
     ) -> Box<dyn SolveSession> {
         match solver {
-            "GreeDi" => Box::new(ShardedGreediSession::open(Arc::clone(instance), params)),
-            _ => Box::new(ShardedSieveSession::open(instance, params)),
+            "GreeDi" => Box::new(GreediSession::sharded(Arc::clone(instance), params)),
+            _ => Box::new(SieveSession::sharded(instance, params)),
         }
     }
 
@@ -1083,22 +1081,26 @@ mod tests {
 
     #[test]
     fn sharded_solve_reports_are_byte_identical_to_centralized() {
-        for solver in ["GreeDi", "SieveStreaming"] {
-            let s = state();
-            let sharded = s.handle(&post("/solve", &solve_body(solver, Some(3))));
-            let central = s.handle(&post("/solve", &solve_body(solver, None)));
-            assert_eq!(
-                sharded.status,
-                200,
-                "{}",
-                String::from_utf8_lossy(&sharded.body)
-            );
-            assert_eq!(central.status, 200);
-            assert_eq!(
-                sans_seconds(&sharded.body),
-                sans_seconds(&central.body),
-                "{solver} sharded report must match the centralized one"
-            );
+        for k in [4, 0] {
+            for solver in ["GreeDi", "SieveStreaming"] {
+                let s = state();
+                let body =
+                    |shards| solve_body(solver, shards).replace("\"k\": 4", &format!("\"k\": {k}"));
+                let sharded = s.handle(&post("/solve", &body(Some(3))));
+                let central = s.handle(&post("/solve", &body(None)));
+                assert_eq!(
+                    sharded.status,
+                    200,
+                    "{}",
+                    String::from_utf8_lossy(&sharded.body)
+                );
+                assert_eq!(central.status, 200);
+                assert_eq!(
+                    sans_seconds(&sharded.body),
+                    sans_seconds(&central.body),
+                    "{solver} at k = {k}: sharded report must match the centralized one"
+                );
+            }
         }
     }
 

@@ -152,55 +152,59 @@ fn approximate_algorithms_never_beat_the_feasible_optimum() {
 
 /// Every registered solver on a two-group coverage instance: respects
 /// the budget `k`, returns non-negative group utilities of the right
-/// arity, and is deterministic across two runs.
+/// arity, and is deterministic across two runs. At `k = 0` a typed
+/// `InvalidParams` rejection also counts as within budget.
 #[test]
 fn every_registered_solver_respects_budget_and_is_deterministic() {
     let (sets, group_of) = random_mc_instance(3, 12, 24, 2);
     let oracle = CoverageOracle::new(sets, &Groups::from_assignment(group_of));
     let registry = SolverRegistry::default();
-    let k = 3;
-    let params = ScenarioParams::new(k, 0.5);
-    for name in registry.names() {
-        let first = registry
-            .solve(name, &oracle, &params)
-            .unwrap_or_else(|e| panic!("{name} rejected a c=2 instance: {e}"));
-        assert!(
-            first.items.len() <= k,
-            "{name} returned {} items for k = {k}",
-            first.items.len()
-        );
-        assert_eq!(
-            first.group_utilities.len(),
-            2,
-            "{name} reported wrong group arity"
-        );
-        assert!(
-            first.group_utilities.iter().all(|&x| x >= 0.0),
-            "{name} reported a negative group utility: {:?}",
-            first.group_utilities
-        );
-        assert!(
-            first.f >= 0.0 && first.g >= 0.0,
-            "{name}: f = {}, g = {}",
-            first.f,
-            first.g
-        );
-        assert!(first.solver == name, "{name} mislabeled its report");
+    for k in [3, 0] {
+        let params = ScenarioParams::new(k, 0.5);
+        for name in registry.names() {
+            let first = match registry.solve(name, &oracle, &params) {
+                Ok(report) => report,
+                Err(SolverError::InvalidParams { .. }) if k == 0 => continue,
+                Err(e) => panic!("{name} rejected a c=2 instance at k = {k}: {e}"),
+            };
+            assert!(
+                first.items.len() <= k,
+                "{name} returned {} items for k = {k}",
+                first.items.len()
+            );
+            assert_eq!(
+                first.group_utilities.len(),
+                2,
+                "{name} reported wrong group arity"
+            );
+            assert!(
+                first.group_utilities.iter().all(|&x| x >= 0.0),
+                "{name} reported a negative group utility: {:?}",
+                first.group_utilities
+            );
+            assert!(
+                first.f >= 0.0 && first.g >= 0.0,
+                "{name}: f = {}, g = {}",
+                first.f,
+                first.g
+            );
+            assert!(first.solver == name, "{name} mislabeled its report");
 
-        let second = registry
-            .solve(name, &oracle, &params)
-            .unwrap_or_else(|e| panic!("{name} second run rejected: {e}"));
-        assert_eq!(first.items, second.items, "{name} is non-deterministic");
-        assert_eq!(
-            first.f.to_bits(),
-            second.f.to_bits(),
-            "{name} f drifted across runs"
-        );
-        assert_eq!(
-            first.g.to_bits(),
-            second.g.to_bits(),
-            "{name} g drifted across runs"
-        );
+            let second = registry
+                .solve(name, &oracle, &params)
+                .unwrap_or_else(|e| panic!("{name} second run rejected: {e}"));
+            assert_eq!(first.items, second.items, "{name} is non-deterministic");
+            assert_eq!(
+                first.f.to_bits(),
+                second.f.to_bits(),
+                "{name} f drifted across runs"
+            );
+            assert_eq!(
+                first.g.to_bits(),
+                second.g.to_bits(),
+                "{name} g drifted across runs"
+            );
+        }
     }
 }
 

@@ -32,9 +32,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use serde::ToJson;
 
-use fair_submod::core::engine::{
-    MergeBuilder, ShardedGreediSession, ShardedInstance, ShardedSieveSession,
-};
+use fair_submod::core::engine::session::{GreediSession, SieveSession};
+use fair_submod::core::engine::{MergeBuilder, ShardedInstance};
 use fair_submod::core::prelude::*;
 use fair_submod::coverage::{dominating_slice_system, CoverageOracle, SetSystem};
 use fair_submod::datasets::{rand_fl, rand_mc, seeds};
@@ -131,6 +130,14 @@ fn central_greedi(
     greedi(&ErasedSystem(base), &f, &cfg).expect("valid config")
 }
 
+/// Sharded lazy GreeDi over resident shards, which cannot fail to
+/// materialize.
+fn solve(instance: &ShardedInstance, k: usize) -> GreediOutcome {
+    instance
+        .solve_greedi(k, GreedyVariant::Lazy)
+        .expect("resident shards")
+}
+
 fn assert_bit_identical(sharded: &GreediOutcome, central: &GreediOutcome, label: &str) {
     assert_eq!(sharded.items, central.items, "{label}: items diverged");
     assert_eq!(
@@ -151,27 +158,30 @@ fn assert_bit_identical(sharded: &GreediOutcome, central: &GreediOutcome, label:
     );
 }
 
-/// Invariant 1: the full matrix — three substrates × shard counts ×
-/// seeds × both assembly paths (owned restrictions and `from_central`
-/// subset views), every cell bit-identical to the one-shot algorithm.
+/// Invariant 1: the full matrix — three substrates × budgets × shard
+/// counts × seeds × both assembly paths (owned restrictions and
+/// `from_central` subset views), every cell bit-identical to the
+/// one-shot algorithm. `k = 0` leaves round 2 an empty pool.
 #[test]
 fn sharded_solves_are_bit_identical_to_greedi_on_all_substrates() {
     for substrate in substrates() {
-        for shards in [1usize, 2, 4, 8] {
-            for seed in [21 + shards as u64, 1_021 + shards as u64] {
-                let central = central_greedi(substrate.base.as_ref(), 6, shards, seed);
-                for (path, instance) in [
-                    ("restricted", substrate.owned_instance(shards, seed)),
-                    ("from_central", substrate.central_instance(shards, seed)),
-                ] {
-                    assert_eq!(instance.num_shards(), shards);
-                    assert_eq!(instance.num_items(), substrate.base.dyn_num_items());
-                    let sharded = instance.solve_greedi(6, GreedyVariant::Lazy);
-                    assert_bit_identical(
-                        &sharded,
-                        &central,
-                        &format!("{}/{path}/p={shards}/seed={seed}", substrate.label),
-                    );
+        for k in [0usize, 6] {
+            for shards in [1usize, 2, 4, 8] {
+                for seed in [21 + shards as u64, 1_021 + shards as u64] {
+                    let central = central_greedi(substrate.base.as_ref(), k, shards, seed);
+                    for (path, instance) in [
+                        ("restricted", substrate.owned_instance(shards, seed)),
+                        ("from_central", substrate.central_instance(shards, seed)),
+                    ] {
+                        assert_eq!(instance.num_shards(), shards);
+                        assert_eq!(instance.num_items(), substrate.base.dyn_num_items());
+                        let sharded = solve(&instance, k);
+                        assert_bit_identical(
+                            &sharded,
+                            &central,
+                            &format!("{}/{path}/k={k}/p={shards}/seed={seed}", substrate.label),
+                        );
+                    }
                 }
             }
         }
@@ -278,7 +288,7 @@ fn slice_backed_shards_match_the_centralized_solve() {
         Arc::new(CoverageOracle::new(SetSystem::new(sets, n), &merge_groups))
     });
     let instance = ShardedInstance::new(shard_oracles, merge).expect("valid slice shards");
-    let sharded = instance.solve_greedi(k, GreedyVariant::Lazy);
+    let sharded = solve(&instance, k);
     assert_bit_identical(&sharded, &central, "slice-backed coverage");
 }
 
@@ -332,7 +342,7 @@ fn slice_backed_ris_shards_match_the_resident_oracle_solve() {
         Ok(Arc::new(restrictor.restrict(members)?) as Arc<dyn DynUtilitySystem>)
     })
     .expect("valid sharding");
-    let sharded = instance.solve_greedi(k, GreedyVariant::Lazy);
+    let sharded = solve(&instance, k);
     assert_bit_identical(&sharded, &central, "slice-backed influence");
 }
 
@@ -353,7 +363,7 @@ fn single_shard_greedi_equals_centralized_greedy() {
             ("restricted", substrate.owned_instance(1, 5)),
             ("from_central", substrate.central_instance(1, 5)),
         ] {
-            let sharded = instance.solve_greedi(6, GreedyVariant::Lazy);
+            let sharded = solve(&instance, 6);
             assert_eq!(
                 sharded.value.to_bits(),
                 plain.value.to_bits(),
@@ -388,9 +398,7 @@ fn shard_sweep_respects_the_greedi_guarantee() {
         )
         .value;
         for shards in [1usize, 2, 4, 8] {
-            let out = substrate
-                .owned_instance(shards, 3)
-                .solve_greedi(k, GreedyVariant::Lazy);
+            let out = solve(&substrate.owned_instance(shards, 3), k);
             let bound = (1.0 - (-1.0f64).exp()) / (k as f64).sqrt().min(shards as f64);
             assert!(
                 out.value + 1e-9 >= bound * greedy_value,
@@ -421,7 +429,7 @@ fn sharded_sessions_match_the_centralized_registry_reports() {
         params.epsilon = 0.1;
 
         let instance = Arc::new(substrate.owned_instance(3, params.seed));
-        let mut greedi_session = ShardedGreediSession::open(Arc::clone(&instance), &params);
+        let mut greedi_session = GreediSession::sharded(Arc::clone(&instance), &params);
         let mut rounds = 0usize;
         while !greedi_session.done() {
             greedi_session.step(substrate.base.as_ref());
@@ -443,7 +451,7 @@ fn sharded_sessions_match_the_centralized_registry_reports() {
             substrate.label
         );
 
-        let mut sieve_session = ShardedSieveSession::open(&instance, &params);
+        let mut sieve_session = SieveSession::sharded(&instance, &params);
         while !sieve_session.done() {
             sieve_session.step(substrate.base.as_ref());
         }
@@ -465,8 +473,8 @@ fn sharded_sessions_match_the_centralized_registry_reports() {
 }
 
 /// Invariant 5b: fixed seed ⇒ identical outputs across repeat runs and
-/// across rayon thread counts (the round-1 parallel fold is ordered by
-/// shard index, so worker count must never show in the result) — for
+/// across rayon thread counts (shard builds and batched gain scans run
+/// on the pool, so worker count must never show in the result) — for
 /// both the owned-restriction and subset-view assembly paths.
 #[test]
 fn sharded_solves_are_deterministic_per_seed_and_thread_count() {
@@ -474,9 +482,7 @@ fn sharded_solves_are_deterministic_per_seed_and_thread_count() {
     let _restore = RestoreThreads;
     let substrate = &substrates()[0];
 
-    let reference = substrate
-        .owned_instance(4, 11)
-        .solve_greedi(6, GreedyVariant::Lazy);
+    let reference = solve(&substrate.owned_instance(4, 11), 6);
     let central = central_greedi(substrate.base.as_ref(), 6, 4, 11);
     assert_bit_identical(&reference, &central, "reference");
     let sieve_reference = substrate
@@ -490,7 +496,7 @@ fn sharded_solves_are_deterministic_per_seed_and_thread_count() {
                 ("restricted", substrate.owned_instance(4, 11)),
                 ("from_central", substrate.central_instance(4, 11)),
             ] {
-                let out = instance.solve_greedi(6, GreedyVariant::Lazy);
+                let out = solve(&instance, 6);
                 assert_bit_identical(
                     &out,
                     &reference,
