@@ -51,12 +51,10 @@
 //! The PR-7 kernel scenarios pit the incremental gain kernels against
 //! their retained rescan references on identical workloads:
 //! `ris_incremental_vs_rescan` (counter reads vs per-item RR-set
-//! rescans under naive greedy rounds), `celf_vs_naive_rounds` (lazy
-//! batched-refresh greedy vs full candidate scans), and
-//! `bitset_kernel_unrolled` (the 8-word unrolled complement-masked
-//! popcount vs the scalar loop). Selections/counts are asserted
-//! bit-identical in-process, as everywhere else, and the first two also
-//! assert a speedup floor (3.0× and 1.2×).
+//! rescans under naive greedy rounds) and `celf_vs_naive_rounds` (lazy
+//! batched-refresh greedy vs full candidate scans). Selections/counts
+//! are asserted bit-identical in-process, as everywhere else, and each
+//! asserts a speedup floor (3.0× and 1.2×).
 //!
 //! Every budget, floor and identity check is an assert in this binary,
 //! so a breach exits non-zero before the report is written; the report
@@ -1125,59 +1123,6 @@ fn main() {
                 ("lazy_oracle_calls", Value::Num(lz.oracle_calls as f64)),
             ],
             phases: vec![("solve_rounds", after_seconds)],
-        });
-    }
-
-    // ── 10. Unrolled 8-word bitset popcount kernel vs scalar loop. ────
-    if should_run("bitset_kernel_unrolled") {
-        eprintln!("[perfbase] bitset kernel unrolled ...");
-        use fair_submod_core::bitset::{popcount_andnot, scalar_popcount_andnot};
-        // L1-resident buffers (8 KiB each), so the timing isolates the
-        // popcount kernel instead of memory bandwidth.
-        let words = 1usize << 10;
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let a: Vec<u64> = (0..words).map(|_| next()).collect();
-        let covered: Vec<u64> = (0..words).map(|_| next()).collect();
-        let sweeps = if quick { 30_000 } else { 80_000 };
-        let before_seconds = time_best(reps, || {
-            let mut acc = 0usize;
-            for _ in 0..sweeps {
-                acc = acc.wrapping_add(scalar_popcount_andnot(
-                    std::hint::black_box(&a),
-                    std::hint::black_box(&covered),
-                ));
-            }
-            acc
-        });
-        let after_seconds = time_best(reps, || {
-            let mut acc = 0usize;
-            for _ in 0..sweeps {
-                acc = acc.wrapping_add(popcount_andnot(
-                    std::hint::black_box(&a),
-                    std::hint::black_box(&covered),
-                ));
-            }
-            acc
-        });
-        assert_eq!(
-            popcount_andnot(&a, &covered),
-            scalar_popcount_andnot(&a, &covered),
-            "unrolled popcount kernel disagrees with the scalar loop"
-        );
-        scenarios.push(Scenario {
-            name: "bitset_kernel_unrolled",
-            before_label: "scalar_popcount",
-            after_label: "unrolled_8_word",
-            before_seconds,
-            after_seconds,
-            extra: vec![("words", int(words)), ("sweeps", int(sweeps))],
-            phases: Vec::new(),
         });
     }
 

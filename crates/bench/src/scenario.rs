@@ -19,6 +19,7 @@
 //! spec may deliberately sweep into and do not trip `--strict`, while
 //! hard errors (`UnknownSolver` / `InvalidParams`) always do.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use serde::json::{obj, Error as JsonError, Value};
@@ -996,6 +997,91 @@ pub fn cell_to_json(dataset: &str, cell: &CellOutcome) -> Value {
     obj(pairs)
 }
 
+/// The grid-reuse check (`scenarios diff WARM COLD`): the report of
+/// a warm run and the report of a `--cold` run of the same spec must
+/// expand to the same cells, keyed by `(dataset, solver, k, τ, rep)`,
+/// and agree on every cell's `(status, items, objective,
+/// oracle_calls)`. Warm k-axis sweeps are an execution strategy, not
+/// an approximation, so any difference is a bug. At least one cell of
+/// the warm report must have ridden the warm path, or the spec's
+/// k-axis never exercised it. Returns `(cells, warm cells)`.
+///
+/// Two jobs of one spec can share a key (the smoke spec runs coverage
+/// and influence on the same dataset), so a key's `i`-th cell in one
+/// report is paired with its `i`-th cell in the other: every cell is
+/// compared, none is shadowed by a later one.
+pub fn diff_warm_cold(warm: &Value, cold: &Value) -> Result<(usize, usize), String> {
+    let warm_cells = report_cells(warm, "warm")?;
+    let cold_cells = report_cells(cold, "cold")?;
+    if !warm_cells.keys().eq(cold_cells.keys()) {
+        return Err("warm/cold grids expanded differently".into());
+    }
+    let diffs: Vec<&str> = warm_cells
+        .iter()
+        .filter(|(key, outcome)| cold_cells[*key] != **outcome)
+        .map(|(key, _)| key.as_str())
+        .collect();
+    if !diffs.is_empty() {
+        return Err(format!("warm sweep diverged from cold on {diffs:?}"));
+    }
+    let warmed = warm
+        .get("cells")
+        .and_then(Value::as_arr)
+        .map_or(0, |cells| {
+            cells
+                .iter()
+                .filter(|cell| cell.get("warm").and_then(Value::as_bool) == Some(true))
+                .count()
+        });
+    if warmed == 0 {
+        return Err("no cell rode the warm path; the spec's k-axis must be multi-k".into());
+    }
+    Ok((warm_cells.len(), warmed))
+}
+
+/// A report's cells as `(dataset, solver, k, τ, rep, occurrence)` key
+/// (compact JSON) → `[status, items, objective, oracle_calls]`, where
+/// `occurrence` counts earlier cells with the same five fields; a cell
+/// without a report (a typed rejection) has null outcome fields.
+fn report_cells(report: &Value, side: &str) -> Result<BTreeMap<String, [Value; 4]>, String> {
+    let cells = report
+        .get("cells")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("{side} report has no 'cells' array"))?;
+    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+    let mut out = BTreeMap::new();
+    for cell in cells {
+        let field = |name: &str| {
+            cell.get(name)
+                .cloned()
+                .ok_or_else(|| format!("{side} report: a cell has no '{name}'"))
+        };
+        let mut key = ["dataset", "solver", "k", "tau", "rep"]
+            .into_iter()
+            .map(field)
+            .collect::<Result<Vec<_>, _>>()?;
+        let occurrence = seen
+            .entry(Value::Arr(key.clone()).to_compact_string())
+            .or_insert(0);
+        key.push(Value::Num(*occurrence as f64));
+        *occurrence += 1;
+        let solved = |name: &str| {
+            cell.get("report")
+                .and_then(|r| r.get(name))
+                .cloned()
+                .unwrap_or(Value::Null)
+        };
+        let outcome = [
+            field("status")?,
+            solved("items"),
+            solved("objective"),
+            solved("oracle_calls"),
+        ];
+        out.insert(Value::Arr(key).to_compact_string(), outcome);
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1088,6 +1174,47 @@ mod tests {
         let report = serde::json::parse(&text).unwrap();
         assert_eq!(report.get("spec").and_then(Value::as_str), Some("smoke"));
         assert!(report.get("cells").and_then(Value::as_arr).unwrap().len() > 0);
+    }
+
+    #[test]
+    fn warm_cold_diff_catches_divergence_and_unwarmed_reports() {
+        let report = |items: &str, warm: bool| {
+            serde::json::parse(&format!(
+                r#"{{"cells": [
+                    {{"dataset": "D", "solver": "Greedy", "k": 2, "tau": 0.5, "rep": 0,
+                      "warm": false, "status": "ok",
+                      "report": {{"items": [0, 3], "objective": 0.25, "oracle_calls": 9}}}},
+                    {{"dataset": "D", "solver": "Greedy", "k": 3, "tau": 0.5, "rep": 0,
+                      "warm": {warm}, "status": "ok",
+                      "report": {{"items": {items}, "objective": 0.5, "oracle_calls": 12}}}},
+                    {{"dataset": "D", "solver": "SMSC", "k": 3, "tau": 0.5, "rep": 0,
+                      "warm": false, "status": "rejected", "error": {{}}}},
+                    {{"dataset": "D", "solver": "Greedy", "k": 3, "tau": 0.5, "rep": 0,
+                      "warm": false, "status": "ok",
+                      "report": {{"items": [0, 3, 7], "objective": 0.5, "oracle_calls": 12}}}}
+                ]}}"#
+            ))
+            .unwrap()
+        };
+        let cold = report("[0, 3, 7]", false);
+        assert_eq!(
+            diff_warm_cold(&report("[0, 3, 7]", true), &cold),
+            Ok((4, 1))
+        );
+        // The edited cell shares its key with the report's last cell;
+        // it is compared all the same.
+        let diverged = diff_warm_cold(&report("[0, 3, 8]", true), &cold).unwrap_err();
+        assert!(diverged.contains("diverged"), "{diverged}");
+        let unwarmed = diff_warm_cold(&report("[0, 3, 7]", false), &cold).unwrap_err();
+        assert!(unwarmed.contains("warm path"), "{unwarmed}");
+        let Value::Obj(mut pairs) = report("[0, 3, 7]", true) else {
+            unreachable!()
+        };
+        if let Value::Arr(cells) = &mut pairs[0].1 {
+            cells.pop();
+        }
+        let fewer = diff_warm_cold(&Value::Obj(pairs), &cold).unwrap_err();
+        assert!(fewer.contains("expanded differently"), "{fewer}");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Coverage-style oracles track "is user/RR-set `i` already served?"
 //! flags. A `Vec<bool>` spends one byte (and one cache line per 64
 //! flags) per entry and forces element-at-a-time gain counting; packing
-//! 64 flags per word lets kernels AND a candidate's element mask against
-//! the complement of the covered words and `popcount` whole words at a
-//! time — the classic word-parallel coverage kernel.
+//! 64 flags per word lets a kernel AND a candidate's sparse
+//! `(word, mask)` pairs ([`pack_sparse`]) against the complement of the
+//! covered words and count whole words at a time.
 
 use serde::{Deserialize, Serialize};
 
@@ -52,10 +52,9 @@ impl FixedBitset {
         self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
     }
 
-    /// Number of set bits, via the SIMD-width unrolled kernel
-    /// ([`popcount_words`]).
+    /// Number of set bits.
     pub fn count_ones(&self) -> usize {
-        popcount_words(&self.words)
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The backing words (little-endian bit order within each word).
@@ -69,71 +68,6 @@ impl FixedBitset {
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
-}
-
-/// Width (in `u64` words) of the unrolled popcount kernels: 8 words =
-/// one 64-byte cache line per step, and enough independent `popcnt`
-/// chains for the CPU to retire several per cycle.
-pub const KERNEL_WORDS: usize = 8;
-
-/// Word-parallel population count over a word slice, processed in
-/// [`KERNEL_WORDS`]-wide chunks with the per-chunk sums accumulated in
-/// independent lanes (so the adds, like the popcounts, don't serialize
-/// on one dependency chain). Exact same integer as the scalar
-/// fold — popcounts are associative — just faster.
-#[inline]
-pub fn popcount_words(words: &[u64]) -> usize {
-    let mut chunks = words.chunks_exact(KERNEL_WORDS);
-    let mut total = 0usize;
-    for c in &mut chunks {
-        let a = c[0].count_ones() + c[1].count_ones();
-        let b = c[2].count_ones() + c[3].count_ones();
-        let d = c[4].count_ones() + c[5].count_ones();
-        let e = c[6].count_ones() + c[7].count_ones();
-        total += ((a + b) + (d + e)) as usize;
-    }
-    total + scalar_popcount(chunks.remainder())
-}
-
-/// The pre-unrolling scalar popcount fold, kept `pub` so the
-/// `bitset_kernel_unrolled` perfbase scenario can pit the unrolled
-/// kernel against the exact code it replaced.
-#[inline]
-pub fn scalar_popcount(words: &[u64]) -> usize {
-    words.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// Complement-masked population count: number of bits set in `a` but
-/// **not** in `covered` — the coverage-style "how many of these users
-/// are still free" kernel, unrolled [`KERNEL_WORDS`] words at a time.
-///
-/// The slices must have equal lengths (checked in debug builds only —
-/// a release-mode `assert_eq!` here measurably pessimizes the unrolled
-/// loop; a length mismatch truncates to the shorter slice).
-#[inline]
-pub fn popcount_andnot(a: &[u64], covered: &[u64]) -> usize {
-    debug_assert_eq!(a.len(), covered.len(), "andnot kernel length mismatch");
-    let mut ac = a.chunks_exact(KERNEL_WORDS);
-    let mut cc = covered.chunks_exact(KERNEL_WORDS);
-    let mut total = 0u32;
-    for (x, y) in (&mut ac).zip(&mut cc) {
-        let a0 = (x[0] & !y[0]).count_ones() + (x[1] & !y[1]).count_ones();
-        let a1 = (x[2] & !y[2]).count_ones() + (x[3] & !y[3]).count_ones();
-        let a2 = (x[4] & !y[4]).count_ones() + (x[5] & !y[5]).count_ones();
-        let a3 = (x[6] & !y[6]).count_ones() + (x[7] & !y[7]).count_ones();
-        total += (a0 + a1) + (a2 + a3);
-    }
-    total as usize + scalar_popcount_andnot(ac.remainder(), cc.remainder())
-}
-
-/// Scalar reference for [`popcount_andnot`] (and its benchmark "before"
-/// side).
-#[inline]
-pub fn scalar_popcount_andnot(a: &[u64], covered: &[u64]) -> usize {
-    a.iter()
-        .zip(covered)
-        .map(|(x, y)| (x & !y).count_ones() as usize)
-        .sum()
 }
 
 /// Packs an index list into sparse `(word, mask)` pairs, merged per
@@ -171,30 +105,6 @@ mod tests {
             assert!(b.contains(i));
         }
         assert_eq!(b.count_ones(), 4);
-    }
-
-    #[test]
-    fn unrolled_popcounts_match_scalar_reference() {
-        // Lengths straddling the 8-word chunk boundary, including the
-        // empty and remainder-only cases.
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        for len in [0usize, 1, 7, 8, 9, 16, 23, 64] {
-            let a: Vec<u64> = (0..len)
-                .map(|_| {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    state
-                })
-                .collect();
-            let b: Vec<u64> = a.iter().map(|w| w.rotate_left(11)).collect();
-            assert_eq!(popcount_words(&a), scalar_popcount(&a), "len {len}");
-            assert_eq!(
-                popcount_andnot(&a, &b),
-                scalar_popcount_andnot(&a, &b),
-                "len {len}"
-            );
-        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use fair_submod_graphs::csr::NodeId;
 use fair_submod_graphs::Graph;
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// Per-arc probability/weight assignment. All variants are computable
@@ -52,6 +53,37 @@ impl EdgeWeighting {
     }
 }
 
+/// The uniform-`p` coin `gen::<f64>() < p` as an integer compare on
+/// the same draw (DESIGN.md §9). `gen::<f64>()` is `x·2⁻⁵³` for the
+/// 53-bit draw `x = next_u64() >> 11`, and scaling by a power of two
+/// is exact, so `x·2⁻⁵³ < p ⟺ x < ⌈p·2⁵³⌉`: one `next_u64` per flip
+/// and the same accept bit, with no float work per arc. RR sampling
+/// and forward IC simulation both flip it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct UniformCoin {
+    threshold: u64,
+}
+
+impl UniformCoin {
+    pub(crate) fn new(p: f64) -> Self {
+        Self {
+            threshold: (p * (1u64 << 53) as f64).ceil() as u64,
+        }
+    }
+
+    /// Whether the raw 53-bit draw `x` lands under `p`.
+    #[inline]
+    fn accepts(self, x: u64) -> bool {
+        x < self.threshold
+    }
+
+    /// Flips the coin on one `next_u64` draw.
+    #[inline]
+    pub(crate) fn flip<R: RngCore>(self, rng: &mut R) -> bool {
+        self.accepts(rng.next_u64() >> 11)
+    }
+}
+
 /// Diffusion process.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum DiffusionModel {
@@ -89,6 +121,26 @@ mod tests {
         let w = EdgeWeighting::WeightedCascade;
         assert!((w.probability(&g, 0, 2) - 0.5).abs() < 1e-12);
         assert_eq!(w.probability(&g, 2, 0), 0.0); // node 0 has no in-arcs
+    }
+
+    #[test]
+    fn uniform_coin_agrees_with_the_float_coin_at_its_threshold() {
+        // Random draws hit the threshold with probability 2⁻⁵³, so probe
+        // the draws on either side of it: `x < t` must hold exactly when
+        // the float coin `x·2⁻⁵³ < p` accepts.
+        let scale = 1.0 / (1u64 << 53) as f64;
+        for p in [0.0, scale, 0.01, 0.1, 0.5, 0.75, 1.0] {
+            let coin = UniformCoin::new(p);
+            let t = coin.threshold;
+            let draws = [t.checked_sub(1), Some(t), t.checked_add(1)];
+            for x in draws.into_iter().flatten().filter(|&x| x < 1u64 << 53) {
+                assert_eq!(
+                    coin.accepts(x),
+                    x as f64 * scale < p,
+                    "p = {p}, threshold {t}, draw {x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -532,17 +532,15 @@ impl UtilitySystem for RisOracle {
     /// Counter read: `c` loads and one multiply per group. The product
     /// `(count as f64) · w_g` is exactly what the rescan kernel computes
     /// (it accumulates the integer count in `f64` — exact below 2^53 —
-    /// then multiplies once), so both kernels agree bit for bit.
+    /// then multiplies once), so both kernels agree bit for bit. Batches
+    /// take the trait's sequential `group_gains_batch`: a row this cheap
+    /// costs less than handing it to another thread.
     fn group_gains(&self, inner: &Self::Inner, item: ItemId, out: &mut [f64]) {
         let c = self.weight.len();
         let row = &inner.counts[item as usize * c..item as usize * c + c];
         for ((o, &cnt), &w) in out.iter_mut().zip(row).zip(&self.weight) {
             *o = cnt as f64 * w;
         }
-    }
-
-    fn group_gains_batch(&self, inner: &Self::Inner, items: &[ItemId], out: &mut [f64]) {
-        fair_submod_core::system::parallel_group_gains(self, inner, items, out);
     }
 
     /// Decremental maintenance: for each RR set this item newly covers,

@@ -11,12 +11,12 @@
 //! a reverse random walk.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use fair_submod_graphs::csr::NodeId;
 use fair_submod_graphs::Graph;
 
-use crate::models::{DiffusionModel, EdgeWeighting};
+use crate::models::{DiffusionModel, EdgeWeighting, UniformCoin};
 
 /// Reusable per-worker sampling scratch: epoch-stamped visited marks,
 /// bundled so batched parallel sampling holds exactly one scratch per
@@ -109,11 +109,8 @@ pub fn sample_rr_into(
             // the appended arena run doubles as the BFS queue (the
             // queue's contents *are* `rr[start..]`, in the same push
             // order), and the per-arc coin `gen::<f64>() < p` becomes
-            // an integer compare on the raw 53-bit draw — `x·2⁻⁵³ < p
-            // ⟺ x < ⌈p·2⁵³⌉` because scaling by a power of two is
-            // exact, so the same single `next_u64` per arc yields the
-            // same accept bit.
-            let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
+            // `UniformCoin`'s integer compare on the same draw.
+            let coin = UniformCoin::new(p);
             let mut head = start;
             while head < rr.len() {
                 let u = rr[head];
@@ -122,7 +119,7 @@ pub fn sample_rr_into(
                     if scratch.visited[w as usize] == mark {
                         continue;
                     }
-                    if (rng.next_u64() >> 11) < threshold {
+                    if coin.flip(rng) {
                         scratch.visited[w as usize] = mark;
                         rr.push(w);
                     }
@@ -231,7 +228,7 @@ pub fn sample_rr_masked_into(
     arena: &mut Vec<NodeId>,
 ) -> usize {
     let words = masks.words;
-    let threshold = (uniform_p * (1u64 << 53) as f64).ceil() as u64;
+    let coin = UniformCoin::new(uniform_p);
     let visited = &mut scratch.visited_bits;
     visited.clear();
     visited.resize(words, 0);
@@ -251,7 +248,7 @@ pub fn sample_rr_masked_into(
             while cand != 0 {
                 let bit = cand.trailing_zeros();
                 cand &= cand - 1;
-                if (rng.next_u64() >> 11) < threshold {
+                if coin.flip(rng) {
                     *vis |= 1u64 << bit;
                     rr.push((wi * 64) as NodeId + bit);
                 }
@@ -265,7 +262,7 @@ pub fn sample_rr_masked_into(
 mod tests {
     use super::*;
     use fair_submod_graphs::GraphBuilder;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn rr_contains_root() {

@@ -10,7 +10,12 @@
 //! The per-run state uses epoch stamps rather than clearing an
 //! `n`-sized bitmap, so one cascade costs `O(touched arcs)` — essential
 //! on the 100k-node Pokec stand-in where cascades are tiny under
-//! `p = 0.01` but `runs` is in the thousands.
+//! `p = 0.01` but `runs` is in the thousands. Each rayon chunk
+//! allocates one stamp array; the LT threshold and pressure arrays
+//! exist only under the LT model, because an IC cascade never reads
+//! them. Under uniform-`p` IC each arc's coin is the integer compare
+//! RR sampling uses (DESIGN.md §9): the same draw and the same accept
+//! bit as `gen::<f64>() < p`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,7 +26,7 @@ use fair_submod_core::metrics::Evaluation;
 use fair_submod_graphs::csr::NodeId;
 use fair_submod_graphs::{Graph, Groups};
 
-use crate::models::{DiffusionModel, EdgeWeighting};
+use crate::models::{DiffusionModel, EdgeWeighting, UniformCoin};
 
 /// Reusable per-thread simulation scratch with epoch marking.
 struct Scratch {
@@ -31,20 +36,25 @@ struct Scratch {
     /// Activation order of the current run (exactly the influenced set).
     queue: Vec<NodeId>,
     /// LT-only: per-node threshold and accumulated pressure, epoch-tagged.
+    /// Empty under IC.
     lt_mark: Vec<u32>,
     lt_threshold: Vec<f64>,
     lt_pressure: Vec<f64>,
 }
 
 impl Scratch {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, model: DiffusionModel) -> Self {
+        let lt = match model {
+            DiffusionModel::LinearThreshold => n,
+            DiffusionModel::IndependentCascade(_) => 0,
+        };
         Self {
             stamp: vec![0; n],
             epoch: 0,
             queue: Vec::with_capacity(64),
-            lt_mark: vec![0; n],
-            lt_threshold: vec![0.0; n],
-            lt_pressure: vec![0.0; n],
+            lt_mark: vec![0; lt],
+            lt_threshold: vec![0.0; lt],
+            lt_pressure: vec![0.0; lt],
         }
     }
 
@@ -68,6 +78,25 @@ fn simulate_ic(
     rng: &mut StdRng,
     scratch: &mut Scratch,
 ) {
+    match weighting {
+        EdgeWeighting::Uniform(p) => {
+            let coin = UniformCoin::new(p);
+            cascade_ic(graph, seeds, scratch, |_, _| coin.flip(rng));
+        }
+        _ => cascade_ic(graph, seeds, scratch, |u, v| {
+            rng.gen::<f64>() < weighting.probability(graph, u, v)
+        }),
+    }
+}
+
+/// The IC breadth-first cascade; `live(u, v)` flips arc `u → v`'s coin
+/// and is called once per arc into a node not yet active, in BFS order.
+fn cascade_ic(
+    graph: &Graph,
+    seeds: &[NodeId],
+    scratch: &mut Scratch,
+    mut live: impl FnMut(NodeId, NodeId) -> bool,
+) {
     let epoch = scratch.next_epoch();
     for &s in seeds {
         if scratch.stamp[s as usize] != epoch {
@@ -80,9 +109,7 @@ fn simulate_ic(
         let u = scratch.queue[head];
         head += 1;
         for &v in graph.out_neighbors(u) {
-            if scratch.stamp[v as usize] != epoch
-                && rng.gen::<f64>() < weighting.probability(graph, u, v)
-            {
+            if scratch.stamp[v as usize] != epoch && live(u, v) {
                 scratch.stamp[v as usize] = epoch;
                 scratch.queue.push(v);
             }
@@ -145,7 +172,7 @@ pub fn monte_carlo_evaluate(
     let totals: Vec<f64> = (0..runs)
         .into_par_iter()
         .fold(
-            || (vec![0.0f64; c], Scratch::new(graph.num_nodes())),
+            || (vec![0.0f64; c], Scratch::new(graph.num_nodes(), model)),
             |(mut acc, mut scratch), run| {
                 let mut rng = StdRng::seed_from_u64(seed ^ (run as u64).wrapping_mul(0x9E37_79B9));
                 match model {

@@ -259,23 +259,23 @@ impl ServiceState {
         Ok((entry, status))
     }
 
-    /// Builds (or reuses) the `num_shards` shard oracles of `entry`'s
-    /// central instance and assembles them into a [`ShardedInstance`]
-    /// whose merge phase restricts the central oracle to the round-2
-    /// pool. Every shard is its own instance-store entry under
-    /// [`shard_canonical_key`], built in parallel on the worker pool —
-    /// so a repeat request with the same recipe, shard count, and seed
-    /// reuses all of them. The returned status is `hit` only when every
-    /// shard entry (the central one is the caller's) was already
-    /// registered.
-    fn sharded_instance(
+    /// Validates a sharded request and opens its session, returned with
+    /// the request's cache status. GreeDi runs over `num_shards` cached
+    /// shard oracles ([`ServiceState::sharded_instance`]), so it reports
+    /// a hit only when the central entry and every shard entry were
+    /// warm. Sieve-Streaming reads every item once, in ascending id
+    /// order, whichever shard holds it: that is the central oracle's own
+    /// stream, so it opens on the resident central system, builds no
+    /// shard, and reports the central entry's status.
+    fn open_sharded_session(
         &self,
         tenant: &str,
         entry: &Arc<StoreEntry>,
+        central_status: CacheStatus,
         solver: &str,
         params: &ScenarioParams,
         num_shards: usize,
-    ) -> Result<(Arc<ShardedInstance>, CacheStatus), Box<Response>> {
+    ) -> Result<(Box<dyn SolveSession>, CacheStatus), Box<Response>> {
         let central = entry.built().expect("instance_entry builds");
         let invalid = |message: String| {
             let error = SolverError::InvalidParams {
@@ -290,14 +290,44 @@ impl ServiceState {
                 central.num_items
             )));
         }
-        // Mirror the centralized SieveStreaming adapter's domain check
-        // before doing any shard work.
-        if solver == "SieveStreaming" && !(params.epsilon > 0.0 && params.epsilon < 1.0) {
+        if solver == "GreeDi" {
+            let (instance, shard_status) =
+                self.sharded_instance(tenant, entry, params, num_shards)?;
+            return Ok((
+                Box::new(GreediSession::sharded(instance, params)),
+                combine_status(central_status, shard_status),
+            ));
+        }
+        // Mirror the centralized SieveStreaming adapter's domain check.
+        if !(params.epsilon > 0.0 && params.epsilon < 1.0) {
             return Err(invalid(format!(
                 "epsilon must lie in (0, 1), got {}",
                 params.epsilon
             )));
         }
+        Ok((
+            Box::new(SieveSession::open(central.system(), params)),
+            central_status,
+        ))
+    }
+
+    /// Builds (or reuses) the `num_shards` shard oracles of `entry`'s
+    /// central instance and assembles them into a [`ShardedInstance`]
+    /// whose merge phase restricts the central oracle to the round-2
+    /// pool. Every shard is its own instance-store entry under
+    /// [`shard_canonical_key`], built in parallel on the worker pool —
+    /// so a repeat request with the same recipe, shard count, and seed
+    /// reuses all of them. The returned status is `hit` only when every
+    /// shard entry (the central one is the caller's) was already
+    /// registered.
+    fn sharded_instance(
+        &self,
+        tenant: &str,
+        entry: &Arc<StoreEntry>,
+        params: &ScenarioParams,
+        num_shards: usize,
+    ) -> Result<(Arc<ShardedInstance>, CacheStatus), Box<Response>> {
+        let central = entry.built().expect("instance_entry builds");
         let partition = shard_partition(central.num_items, num_shards, params.seed);
         let max = self.quotas.config().max_instances;
         let seed = params.seed;
@@ -355,19 +385,6 @@ impl ServiceState {
         ))
     }
 
-    /// Opens the sharded session for one of the two shard-capable
-    /// solvers (the only names [`parse_shards`] admits).
-    fn open_sharded_session(
-        instance: &Arc<ShardedInstance>,
-        solver: &str,
-        params: &ScenarioParams,
-    ) -> Box<dyn SolveSession> {
-        match solver {
-            "GreeDi" => Box::new(GreediSession::sharded(Arc::clone(instance), params)),
-            _ => Box::new(SieveSession::sharded(instance, params)),
-        }
-    }
-
     /// `POST /solve` with a `shards` field: drives the sharded session
     /// to completion server-side and finishes it against the central
     /// system, so the report is identical to the centralized solver's
@@ -382,13 +399,17 @@ impl ServiceState {
         num_shards: usize,
     ) -> Response {
         let started = Instant::now();
-        let (sharded, shard_status) =
-            match self.sharded_instance(tenant, entry, solver, params, num_shards) {
-                Ok(ok) => ok,
-                Err(refused) => return *refused,
-            };
-        let status = combine_status(central_status, shard_status);
-        let mut session = Self::open_sharded_session(&sharded, solver, params);
+        let (mut session, status) = match self.open_sharded_session(
+            tenant,
+            entry,
+            central_status,
+            solver,
+            params,
+            num_shards,
+        ) {
+            Ok(opened) => opened,
+            Err(refused) => return *refused,
+        };
         let central = entry.built().expect("instance_entry builds");
         let system = central.system();
         while !session.done() {
@@ -530,17 +551,18 @@ impl ServiceState {
         let instance = entry.built().expect("instance_entry builds");
         let session = if let Some(num_shards) = shards {
             params.shards = num_shards;
-            let (sharded, shard_status) =
-                match self.sharded_instance(tenant, &entry, &solver, &params, num_shards) {
-                    Ok(ok) => ok,
-                    Err(refused) => return *refused,
-                };
-            status = combine_status(status, shard_status);
-            // Sharded sessions own their shard oracles and ignore the
-            // system passed to `step`; parking them on the *central*
-            // entry makes `finish` evaluate against the central oracle,
-            // so the final report matches the centralized solver's.
-            Self::open_sharded_session(&sharded, &solver, &params)
+            // A sharded GreeDi session owns its shard oracles and
+            // ignores the system passed to `step`; a sharded Sieve
+            // session streams it. Parking either on the *central* entry
+            // makes `finish` evaluate against the central oracle, so the
+            // final report matches the centralized solver's.
+            match self.open_sharded_session(tenant, &entry, status, &solver, &params, num_shards) {
+                Ok((session, combined)) => {
+                    status = combined;
+                    session
+                }
+                Err(refused) => return *refused,
+            }
         } else {
             match self
                 .registry
@@ -1196,6 +1218,67 @@ mod tests {
         assert_eq!(
             report.get("f").and_then(Value::as_f64).unwrap().to_bits(),
             oneshot.get("f").and_then(Value::as_f64).unwrap().to_bits()
+        );
+    }
+
+    #[test]
+    fn sharded_sieve_streams_the_central_entry_and_caches_no_shard() {
+        let s = state();
+        let cache = |r: &Response| {
+            r.headers
+                .iter()
+                .find(|(n, _)| n == "X-Instance-Cache")
+                .map(|(_, v)| v.clone())
+        };
+        let sharded = s.handle(&post("/solve", &solve_body("SieveStreaming", Some(3))));
+        assert_eq!(
+            sharded.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&sharded.body)
+        );
+        assert_eq!(cache(&sharded).as_deref(), Some("miss"));
+        let open = format!(
+            r#"{{"max_rounds": {MAX_ANYTIME_CHUNK}, {}"#,
+            solve_body("SieveStreaming", Some(3))
+                .trim_start()
+                .trim_start_matches('{')
+        );
+        let anytime = s.handle(&post("/solve/anytime", &open));
+        assert_eq!(
+            anytime.status,
+            200,
+            "{}",
+            String::from_utf8_lossy(&anytime.body)
+        );
+        assert_eq!(
+            cache(&anytime).as_deref(),
+            Some("hit"),
+            "the central entry's status"
+        );
+        let body = parse_bytes(&anytime.body).unwrap();
+        assert_eq!(body.get("done").and_then(Value::as_bool), Some(true));
+        let anytime_report = body.get("report").unwrap().to_compact_string();
+
+        let view = parse_bytes(&s.handle(&get("/instances")).body).unwrap();
+        let rows = view.get("instances").and_then(Value::as_arr).unwrap();
+        let canonicals: Vec<&str> = rows
+            .iter()
+            .map(|row| row.get("canonical").and_then(Value::as_str).unwrap())
+            .collect();
+        assert_eq!(
+            canonicals.len(),
+            1,
+            "only the central entry: {canonicals:?}"
+        );
+        assert!(!canonicals[0].contains("#shard"), "{canonicals:?}");
+
+        let central = s.handle(&post("/solve", &solve_body("SieveStreaming", None)));
+        assert_eq!(central.status, 200);
+        assert_eq!(sans_seconds(&sharded.body), sans_seconds(&central.body));
+        assert_eq!(
+            sans_seconds(anytime_report.as_bytes()),
+            sans_seconds(&central.body)
         );
     }
 

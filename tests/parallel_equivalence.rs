@@ -14,10 +14,13 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use fair_submod::core::prelude::*;
 use fair_submod::core::system::{SolutionState, UtilitySystem};
-use fair_submod::datasets::{rand_fl, rand_mc, seeds};
+use fair_submod::datasets::{facebook_like, rand_fl, rand_mc, seeds};
 use fair_submod::facility::BenefitMatrix;
+use fair_submod::graphs::{Graph, Groups};
 use fair_submod::influence::oracle::{RisConfig, RisOracle};
 use fair_submod::influence::{monte_carlo_evaluate, DiffusionModel};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// `rayon::set_num_threads` is a process-global override, and the test
 /// harness runs `#[test]`s concurrently — without serialization, one
@@ -201,6 +204,87 @@ fn ris_sampling_and_monte_carlo_are_thread_count_invariant() {
     rayon::set_num_threads(5);
     let par = run_all();
     assert_eq!(seq, par);
+}
+
+/// Forward uniform-`p` IC simulation with the float coin
+/// `gen::<f64>() < p`, run by run on one thread: the per-run seeds,
+/// BFS order and estimator formulas of `monte_carlo_evaluate`, none of
+/// its code. Returns `(f, g, group means)`.
+fn float_coin_ic_reference(
+    graph: &Graph,
+    groups: &Groups,
+    p: f64,
+    seeds: &[u32],
+    runs: usize,
+    seed: u64,
+) -> (f64, f64, Vec<f64>) {
+    let n = graph.num_nodes();
+    let mut totals = vec![0.0f64; groups.num_groups()];
+    for run in 0..runs {
+        let mut rng = StdRng::seed_from_u64(seed ^ (run as u64).wrapping_mul(0x9E37_79B9));
+        let mut active = vec![false; n];
+        let mut queue = Vec::new();
+        for &s in seeds {
+            if !active[s as usize] {
+                active[s as usize] = true;
+                queue.push(s);
+            }
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            for &v in graph.out_neighbors(u) {
+                if !active[v as usize] && rng.gen::<f64>() < p {
+                    active[v as usize] = true;
+                    queue.push(v);
+                }
+            }
+        }
+        for &v in &queue {
+            totals[groups.group_of(v as usize) as usize] += 1.0;
+        }
+    }
+    let means: Vec<f64> = totals
+        .iter()
+        .zip(groups.sizes())
+        .map(|(&t, &mi)| t / (runs as f64 * mi as f64))
+        .collect();
+    let f = totals.iter().sum::<f64>() / (runs as f64 * groups.num_users() as f64);
+    let g = means.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+    (f, g, means)
+}
+
+#[test]
+fn monte_carlo_uniform_ic_matches_the_float_coin_reference() {
+    let _serial = thread_override_lock();
+    let _restore = RestoreThreads;
+    let cases = [
+        (
+            facebook_like(2, seeds::FACEBOOK),
+            0.01,
+            vec![0u32, 5, 40, 300],
+        ),
+        (facebook_like(4, seeds::FACEBOOK), 0.1, vec![7u32, 7, 1000]),
+        (rand_mc(2, 100, seeds::RAND), 0.1, vec![1u32, 20, 21, 99]),
+        (rand_mc(4, 100, seeds::RAND + 1), 0.5, vec![0u32, 60]),
+    ];
+    for (data, p, seed_items) in &cases {
+        let (f, g, means) =
+            float_coin_ic_reference(&data.graph, &data.groups, *p, seed_items, 300, 23);
+        for threads in [1usize, 4] {
+            rayon::set_num_threads(threads);
+            let model = DiffusionModel::ic(*p);
+            let eval = monte_carlo_evaluate(&data.graph, model, &data.groups, seed_items, 300, 23);
+            let label = format!("{} p={p} threads={threads}", data.name);
+            assert_eq!(eval.f.to_bits(), f.to_bits(), "f: {label}");
+            assert_eq!(eval.g.to_bits(), g.to_bits(), "g: {label}");
+            assert_eq!(eval.group_means.len(), means.len(), "{label}");
+            for (i, (a, b)) in eval.group_means.iter().zip(&means).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "group {i} mean: {label}");
+            }
+        }
+    }
 }
 
 #[test]
